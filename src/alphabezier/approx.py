@@ -36,14 +36,11 @@ class FitResult:
     l2_error: float
 
 
-def _design_matrix(spec: BasisSpec, xs: np.ndarray) -> np.ndarray:
-    return np.array([spec.values(x) for x in xs])
-
-
 def _grid_errors(f: Callable[[float], float], spec: BasisSpec,
                  coeffs: np.ndarray, grid: int) -> tuple[float, float]:
     xs = np.linspace(spec.a, spec.b, grid)
-    resid = np.array([f(x) - spec.values(x) @ coeffs for x in xs])
+    # one dot per row: a matrix product would round differently
+    resid = np.array([f(x) - row @ coeffs for x, row in zip(xs, collocation_matrix(spec, xs))])
     return float(np.abs(resid).max()), float(np.sqrt(np.mean(resid**2)))
 
 
@@ -83,7 +80,7 @@ def fit_least_squares(f: Callable[[float], float], spec: BasisSpec,
     if samples < spec.degree + 1:
         raise ArgumentError(f"need at least {spec.degree + 1} samples, got {samples}")
     xs = np.linspace(spec.a, spec.b, samples)
-    matrix = _design_matrix(spec, xs)
+    matrix = collocation_matrix(spec, xs)
     y = np.array([f(x) for x in xs])
     coeffs, _, rank, _ = np.linalg.lstsq(matrix, y, rcond=None)
     if rank < spec.degree + 1:

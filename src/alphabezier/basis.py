@@ -28,7 +28,11 @@ MAX_DEGREE = 60
 
 @lru_cache(maxsize=None)
 def binomial_row(n: int) -> np.ndarray:
-    """C(n, 0..n) as a read-only float array; exact integers for n <= 60."""
+    """C(n, 0..n) as a read-only float array.
+
+    The entries are the exact binomials for n <= 56; from n = 57 the
+    largest ones exceed 2**53 and are rounded to the nearest double.
+    """
     row = np.array([math.comb(n, i) for i in range(n + 1)], dtype=float)
     row.flags.writeable = False
     return row
@@ -133,27 +137,21 @@ class BasisSpec:
         h = self.homography
         w = h.value(x)
         w1 = h.deriv1(x)
+        w2 = h.deriv2(x) if order == 2 else 0.0
         wp = _powers(w, n)
         vp = _powers(1.0 - w, n)
         binom = binomial_row(n)
         out = np.zeros(n + 1)
-        if order == 1:
-            for i in range(n + 1):
-                g1 = 0.0
-                if i >= 1:
-                    g1 += i * wp[i - 1] * vp[n - i]
-                if n - i >= 1:
-                    g1 -= (n - i) * wp[i] * vp[n - i - 1]
-                out[i] = binom[i] * g1 * w1
-            return out
-        w2 = h.deriv2(x)
         for i in range(n + 1):
             g1 = 0.0
-            g2 = 0.0
             if i >= 1:
                 g1 += i * wp[i - 1] * vp[n - i]
             if n - i >= 1:
                 g1 -= (n - i) * wp[i] * vp[n - i - 1]
+            if order == 1:
+                out[i] = binom[i] * g1 * w1
+                continue
+            g2 = 0.0
             if i >= 2:
                 g2 += i * (i - 1) * wp[i - 2] * vp[n - i]
             if i >= 1 and n - i >= 1:

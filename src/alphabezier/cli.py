@@ -1,9 +1,15 @@
 """Command line surface.
 
 One executable with a --command switch: dump basis tables, sample curves,
-subdivide, elevate, run demo fits, or run a seeded self test.  Output goes
-to CSV, JSON or SVG files; identical configurations produce byte-identical
-files.  Exit codes: 0 success, 2 validation failure, 1 internal error.
+subdivide, elevate, run demo fits, or run a seeded self test.
+
+parse_config validates the arguments into a JobConfig.  Each cmd_* computes
+one Result record: the sample grid, a sample matrix per basis index, the
+polygons and any fit results.  main hands that record to the one renderer
+of the requested format (render_csv, render_json or render_svg) and writes
+the text once; only selftest writes its own JSON report.  Identical
+configurations produce byte-identical files.  Exit codes: 0 success, 2
+validation failure, 1 internal error.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ import numpy as np
 
 from . import svg
 from .approx import fit_collocation, fit_least_squares
-from .basis import BasisSpec
-from .curve import BezierCurve, ControlPolygon, make_curve
+from .basis import BasisSpec, collocation_matrix
+from .curve import MAX_SUBDIVISION_DEPTH, BezierCurve, ControlPolygon, make_curve
 from .errors import ArgumentError, DomainError, ValidationError
 from .homography import INFINITY, HomographyMap
 from .presets import PRESET_POLYGONS, preset_polygon
@@ -115,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="preset name (a..i) or a file of control points")
     parser.add_argument("--samples", type=int, default=512)
     parser.add_argument("--depth", type=int, default=4,
-                        help="subdivision recursion depth (max 20)")
+                        help=f"subdivision recursion depth (max {MAX_SUBDIVISION_DEPTH})")
     parser.add_argument("--format", dest="fmt", choices=FORMATS, default=None)
     parser.add_argument("--out", default=None, help="output file path")
     parser.add_argument("--target", default="rational1", choices=sorted(FIT_TARGETS),
@@ -160,8 +166,9 @@ def parse_config(argv=None) -> JobConfig:
 
     if ns.samples < 2:
         raise ValidationError("samples", "need at least 2 samples")
-    if not 0 <= ns.depth <= 20:
-        raise ValidationError("depth", f"depth must be in 0..20, got {ns.depth}")
+    if not 0 <= ns.depth <= MAX_SUBDIVISION_DEPTH:
+        raise ValidationError(
+            "depth", f"depth must be in 0..{MAX_SUBDIVISION_DEPTH}, got {ns.depth}")
 
     fmt = ns.fmt
     if fmt is None:
@@ -177,9 +184,113 @@ def parse_config(argv=None) -> JobConfig:
         except ArgumentError as exc:
             raise ValidationError("alpha", str(exc)) from None
 
-    seed = int(os.environ.get(SEED_ENV_VAR, "0"))
+    seed_text = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        seed = int(seed_text)
+    except ValueError:
+        raise ValidationError("seed", f"{SEED_ENV_VAR}={seed_text!r} is not an integer") from None
     return JobConfig(command, degree, alphas, interval, polygon, polygon_label,
                      ns.samples, ns.depth, fmt, out, ns.target, seed)
+
+
+# ---------------------------------------------------------------- commands
+
+
+@dataclass(frozen=True)
+class Result:
+    """Everything one command computed, before any formatting.
+
+    ``tables`` pairs each basis index (None for commands with a single
+    curve or fit) with a sample matrix: row j holds the values at
+    ``xs[j]`` and the columns are named by ``columns``.
+    """
+
+    params: dict
+    xs: np.ndarray
+    columns: list[str]
+    tables: list[tuple[float | None, np.ndarray]]
+    polygons: list[np.ndarray]
+    results: dict | None = None
+
+
+def _params_dict(config: JobConfig) -> dict:
+    params = {
+        "command": config.command,
+        "degree": config.degree,
+        "alpha": [_alpha_json(al) for al in config.alphas],
+        "interval": [config.interval[0], config.interval[1]],
+        "samples": config.samples,
+        "format": config.fmt,
+    }
+    if config.command == "subdivide":
+        params["depth"] = config.depth
+    if config.polygon_label is not None:
+        params["polygon"] = config.polygon_label
+    if config.command == "fit":
+        params["target"] = config.target
+    return params
+
+
+def _grid(config: JobConfig) -> np.ndarray:
+    a, b = config.interval
+    return np.linspace(a, b, config.samples)
+
+
+def _spec(config: JobConfig, alpha: float) -> BasisSpec:
+    a, b = config.interval
+    return BasisSpec(config.degree, HomographyMap(a, b, alpha))
+
+
+def cmd_basis(config: JobConfig) -> Result:
+    xs = _grid(config)
+    tables = [(alpha, collocation_matrix(_spec(config, alpha), xs)) for alpha in config.alphas]
+    names = [f"B{i}" for i in range(config.degree + 1)]
+    return Result(_params_dict(config), xs, names, tables, [])
+
+
+def _curve_result(config: JobConfig, curve: BezierCurve, polygons: list[np.ndarray]) -> Result:
+    xs = _grid(config)
+    names = [f"p{i}" for i in range(curve.polygon.dim)]
+    return Result(_params_dict(config), xs, names, [(None, curve.samples(xs))], polygons)
+
+
+def _config_curve(config: JobConfig) -> BezierCurve:
+    a, b = config.interval
+    return make_curve(config.polygon, config.alphas[0], a, b)
+
+
+def cmd_curve(config: JobConfig) -> Result:
+    curve = _config_curve(config)
+    return _curve_result(config, curve, [curve.polygon.points])
+
+
+def cmd_subdivide(config: JobConfig) -> Result:
+    curve = _config_curve(config)
+    pieces = curve.subdivide_recursive(config.depth)
+    return _curve_result(config, curve, [piece.points for piece in pieces])
+
+
+def cmd_elevate(config: JobConfig) -> Result:
+    curve = _config_curve(config)
+    return _curve_result(config, curve, [curve.polygon.points, curve.elevated().polygon.points])
+
+
+def cmd_fit(config: JobConfig) -> Result:
+    f = FIT_TARGETS[config.target]
+    spec = _spec(config, config.alphas[0])
+    colloc = fit_collocation(f, spec)
+    lsq = fit_least_squares(f, spec, max(config.samples, config.degree + 1))
+    xs = _grid(config)
+    # one dot per row: a matrix product would round differently
+    table = np.array([(f(x), row @ colloc.coefficients, row @ lsq.coefficients)
+                      for x, row in zip(xs, collocation_matrix(spec, xs))])
+    results = {
+        "collocation": {"max_error": colloc.max_error, "l2_error": colloc.l2_error},
+        "least_squares": {"max_error": lsq.max_error, "l2_error": lsq.l2_error},
+    }
+    return Result(_params_dict(config), xs, ["target", "collocation", "least_squares"],
+                  [(None, table)],
+                  [colloc.coefficients[:, None], lsq.coefficients[:, None]], results)
 
 
 # ---------------------------------------------------------------- output
@@ -202,20 +313,53 @@ def _write_text(out: Path | None, text: str) -> None:
         fh.write(text)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else repr(float(cell))
-                              for cell in row))
-    return "\n".join(lines) + "\n"
-
-
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _polygon_lists(points: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.atleast_2d(points)]
+def _numbers(values) -> list[str]:
+    """Shortest round-trip text of each number."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def render_csv(result: Result) -> str:
+    """The sample table; subdivide and elevate write their polygon table instead."""
+    blocks = []  # the formatted columns of each table or polygon, stacked in order
+    if result.params["command"] in ("subdivide", "elevate"):
+        header = ["polygon", "point"]
+        for k, poly in enumerate(result.polygons):
+            blocks.append([[repr(k)] * len(poly), list(map(repr, range(len(poly)))),
+                           *map(_numbers, poly.T)])
+    else:
+        # single-index tables use the plain x,... schema; panel lists gain a
+        # leading alpha column
+        panel = len(result.tables) > 1
+        header = ["alpha", "x"] if panel else ["x"]
+        xs = _numbers(result.xs)
+        for alpha, matrix in result.tables:
+            lead = [[_alpha_text(alpha)] * len(xs)] if panel else []
+            blocks.append([*lead, xs, *map(_numbers, matrix.T)])
+    lines = [",".join(header + result.columns)]
+    for block in blocks:
+        lines.extend(map(",".join, zip(*block)))
+    return "\n".join(lines) + "\n"
+
+
+def render_json(result: Result) -> str:
+    """params, samples, polygons and, for fits, results as one document."""
+    samples = []
+    xs = result.xs.tolist()
+    for alpha, matrix in result.tables:
+        label = {} if alpha is None else {"alpha": _alpha_json(alpha)}
+        samples.extend({**label, "x": x, "values": row} for x, row in zip(xs, matrix.tolist()))
+    payload = {
+        "params": result.params,
+        "samples": samples,
+        "polygons": [poly.tolist() for poly in result.polygons],
+    }
+    if result.results is not None:
+        payload["results"] = result.results
+    return _json_text(payload)
 
 
 def _planar(points: np.ndarray) -> np.ndarray:
@@ -227,232 +371,71 @@ def _planar(points: np.ndarray) -> np.ndarray:
     return pts[:, :2]
 
 
-# ---------------------------------------------------------------- commands
-
-
-def _basis_panel(spec: BasisSpec, xs: np.ndarray, title: str,
-                 width: float, height: float) -> list[str]:
-    to_px = svg.transformer((spec.a, spec.b, 0.0, 1.0), width, height)
+def _graph(xs: np.ndarray, matrix: np.ndarray, bbox, colors, title: str,
+           width: float, height: float) -> list[str]:
+    """One framed plot of every matrix column against xs."""
+    to_px = svg.transformer(bbox, width, height)
     elements = [svg.rect(0.0, 0.0, width, height)]
-    table = np.array([spec.values(x) for x in xs])
-    for i in range(spec.degree + 1):
-        pixels = [to_px(x, table[j, i]) for j, x in enumerate(xs)]
-        elements.append(svg.polyline(pixels, svg.PALETTE[i % len(svg.PALETTE)]))
+    for column, color in zip(matrix.T.tolist(), colors):
+        elements.append(svg.polyline([to_px(x, y) for x, y in zip(xs.tolist(), column)], color))
     elements.append(svg.text(8.0, 16.0, title))
     return elements
 
 
-def cmd_basis(config: JobConfig) -> None:
-    a, b = config.interval
-    xs = np.linspace(a, b, config.samples)
-    specs = [BasisSpec(config.degree, HomographyMap(a, b, alpha)) for alpha in config.alphas]
-
-    if config.fmt == "svg":
-        panel_w, panel_h, gap = 420.0, 320.0, 10.0
-        cols = 2 if len(specs) > 1 else 1
-        rows = (len(specs) + cols - 1) // cols
-        parts = []
-        for k, spec in enumerate(specs):
-            title = f"alpha = {_alpha_text(spec.homography.alpha)}"
-            panel = _basis_panel(spec, xs, title, panel_w, panel_h)
-            tx = (k % cols) * (panel_w + gap)
-            ty = (k // cols) * (panel_h + gap)
-            parts.append(svg.group(panel, tx, ty))
-        doc = svg.document(cols * panel_w + (cols - 1) * gap,
-                           rows * panel_h + (rows - 1) * gap, parts)
-        _write_text(config.out, doc)
-        return
-
-    if config.fmt == "csv":
-        # single-index tables use the plain x,B0..Bn schema; panel lists
-        # gain a leading alpha column
-        names = [f"B{i}" for i in range(config.degree + 1)]
-        rows = []
-        if len(specs) == 1:
-            header = ["x"] + names
-            for x in xs:
-                rows.append([x, *specs[0].values(x)])
-        else:
-            header = ["alpha", "x"] + names
-            for spec in specs:
-                token = _alpha_text(spec.homography.alpha)
-                for x in xs:
-                    rows.append([token, x, *spec.values(x)])
-        _write_text(config.out, _csv_text(header, rows))
-        return
-
-    samples = []
-    for spec in specs:
-        for x in xs:
-            samples.append({
-                "alpha": _alpha_json(spec.homography.alpha),
-                "x": float(x),
-                "values": [float(v) for v in spec.values(x)],
-            })
-    payload = {
-        "params": _params_dict(config),
-        "samples": samples,
-        "polygons": [],
-    }
-    _write_text(config.out, _json_text(payload))
+def _basis_panels(result: Result) -> str:
+    panel_w, panel_h, gap = 420.0, 320.0, 10.0
+    a, b = result.params["interval"]
+    colors = [svg.PALETTE[i % len(svg.PALETTE)] for i in range(len(result.columns))]
+    cols = 2 if len(result.tables) > 1 else 1
+    rows = (len(result.tables) + cols - 1) // cols
+    parts = []
+    for k, (alpha, matrix) in enumerate(result.tables):
+        panel = _graph(result.xs, matrix, (a, b, 0.0, 1.0), colors,
+                       f"alpha = {_alpha_text(alpha)}", panel_w, panel_h)
+        parts.append(svg.group(panel, (k % cols) * (panel_w + gap), (k // cols) * (panel_h + gap)))
+    return svg.document(cols * panel_w + (cols - 1) * gap, rows * panel_h + (rows - 1) * gap,
+                        parts)
 
 
-def _params_dict(config: JobConfig) -> dict:
-    params = {
-        "command": config.command,
-        "degree": config.degree,
-        "alpha": [_alpha_json(al) for al in config.alphas],
-        "interval": [config.interval[0], config.interval[1]],
-        "samples": config.samples,
-        "format": config.fmt,
-    }
-    if config.command == "subdivide":
-        params["depth"] = config.depth
-    if config.polygon_label is not None:
-        params["polygon"] = config.polygon_label
-    if config.command == "fit":
-        params["target"] = config.target
-    return params
-
-
-def _curve_figure(curve: BezierCurve, xs: np.ndarray, polygons: list[np.ndarray],
-                  dashed_first: bool = True) -> str:
+def _fit_figure(result: Result) -> str:
     width, height = 640.0, 480.0
-    pts = curve.samples(xs)
-    planar_sets = [_planar(p) for p in polygons] + [_planar(pts)]
-    to_px = svg.transformer(svg.data_bbox(planar_sets), width, height)
-    elements = [svg.rect(0.0, 0.0, width, height)]
-    for k, poly in enumerate(polygons):
-        planar = _planar(poly)
-        pixels = [to_px(x, y) for x, y in planar]
-        color = "#999999" if (dashed_first and k == 0) else svg.PALETTE[k % len(svg.PALETTE)]
-        dash = "6,4" if (dashed_first and k == 0) else None
-        elements.append(svg.polyline(pixels, color, 1.0, dash))
-        for x, y in pixels:
-            elements.append(svg.circle(x, y, 2.5, color))
-    curve_pixels = [to_px(x, y) for x, y in _planar(pts)]
-    elements.append(svg.polyline(curve_pixels, "#1f77b4", 2.0))
+    matrix = result.tables[0][1]
+    bbox = svg.data_bbox([np.column_stack([result.xs, column]) for column in matrix.T])
+    elements = _graph(result.xs, matrix, bbox, ("#999999", "#1f77b4", "#d62728"),
+                      f"target = {result.params['target']}", width, height)
     return svg.document(width, height, elements)
 
 
-def _curve_samples_json(curve: BezierCurve, xs: np.ndarray) -> list[dict]:
-    return [{"x": float(x), "values": [float(v) for v in curve.point(x)]} for x in xs]
+def _curve_figure(result: Result) -> str:
+    # the control polygon is drawn dashed; subdivision pieces all in colour
+    dashed_first = result.params["command"] != "subdivide"
+    width, height = 640.0, 480.0
+    curve_pts = _planar(result.tables[0][1])
+    polygons = [_planar(poly) for poly in result.polygons]
+    to_px = svg.transformer(svg.data_bbox(polygons + [curve_pts]), width, height)
+    elements = [svg.rect(0.0, 0.0, width, height)]
+    for k, planar in enumerate(polygons):
+        pixels = [to_px(x, y) for x, y in planar.tolist()]
+        dashed = dashed_first and k == 0
+        color = "#999999" if dashed else svg.PALETTE[k % len(svg.PALETTE)]
+        elements.append(svg.polyline(pixels, color, 1.0, "6,4" if dashed else None))
+        for x, y in pixels:
+            elements.append(svg.circle(x, y, 2.5, color))
+    elements.append(svg.polyline([to_px(x, y) for x, y in curve_pts.tolist()], "#1f77b4", 2.0))
+    return svg.document(width, height, elements)
 
 
-def _curve_csv_rows(curve: BezierCurve, xs: np.ndarray) -> list[list]:
-    return [[x, *curve.point(x)] for x in xs]
+def render_svg(result: Result) -> str:
+    """Basis panels, the fit graph, or the curve over its polygons."""
+    command = result.params["command"]
+    if command == "basis":
+        return _basis_panels(result)
+    if command == "fit":
+        return _fit_figure(result)
+    return _curve_figure(result)
 
 
-def _point_header(dim: int) -> list[str]:
-    return [f"p{i}" for i in range(dim)]
-
-
-def cmd_curve(config: JobConfig) -> None:
-    a, b = config.interval
-    curve = make_curve(config.polygon, config.alphas[0], a, b)
-    xs = np.linspace(a, b, config.samples)
-    if config.fmt == "svg":
-        _write_text(config.out, _curve_figure(curve, xs, [curve.polygon.points]))
-        return
-    if config.fmt == "csv":
-        header = ["x"] + _point_header(curve.polygon.dim)
-        _write_text(config.out, _csv_text(header, _curve_csv_rows(curve, xs)))
-        return
-    payload = {
-        "params": _params_dict(config),
-        "samples": _curve_samples_json(curve, xs),
-        "polygons": [_polygon_lists(curve.polygon.points)],
-    }
-    _write_text(config.out, _json_text(payload))
-
-
-def cmd_subdivide(config: JobConfig) -> None:
-    a, b = config.interval
-    curve = make_curve(config.polygon, config.alphas[0], a, b)
-    pieces = curve.subdivide_recursive(config.depth)
-    xs = np.linspace(a, b, config.samples)
-    if config.fmt == "svg":
-        polys = [piece.points for piece in pieces]
-        _write_text(config.out, _curve_figure(curve, xs, polys, dashed_first=False))
-        return
-    if config.fmt == "csv":
-        header = ["polygon", "point"] + _point_header(curve.polygon.dim)
-        rows = []
-        for k, piece in enumerate(pieces):
-            for j, pt in enumerate(piece.points):
-                rows.append([repr(k), repr(j), *pt])
-        _write_text(config.out, _csv_text(header, rows))
-        return
-    payload = {
-        "params": _params_dict(config),
-        "samples": _curve_samples_json(curve, xs),
-        "polygons": [_polygon_lists(piece.points) for piece in pieces],
-    }
-    _write_text(config.out, _json_text(payload))
-
-
-def cmd_elevate(config: JobConfig) -> None:
-    a, b = config.interval
-    curve = make_curve(config.polygon, config.alphas[0], a, b)
-    lifted = curve.elevated()
-    xs = np.linspace(a, b, config.samples)
-    if config.fmt == "svg":
-        polys = [curve.polygon.points, lifted.polygon.points]
-        _write_text(config.out, _curve_figure(curve, xs, polys))
-        return
-    if config.fmt == "csv":
-        header = ["polygon", "point"] + _point_header(curve.polygon.dim)
-        rows = []
-        for k, poly in enumerate((curve.polygon, lifted.polygon)):
-            for j, pt in enumerate(poly.points):
-                rows.append([repr(k), repr(j), *pt])
-        _write_text(config.out, _csv_text(header, rows))
-        return
-    payload = {
-        "params": _params_dict(config),
-        "samples": _curve_samples_json(curve, xs),
-        "polygons": [_polygon_lists(curve.polygon.points),
-                     _polygon_lists(lifted.polygon.points)],
-    }
-    _write_text(config.out, _json_text(payload))
-
-
-def cmd_fit(config: JobConfig) -> None:
-    a, b = config.interval
-    f = FIT_TARGETS[config.target]
-    spec = BasisSpec(config.degree, HomographyMap(a, b, config.alphas[0]))
-    colloc = fit_collocation(f, spec)
-    lsq = fit_least_squares(f, spec, max(config.samples, config.degree + 1))
-    xs = np.linspace(a, b, config.samples)
-    table = [(float(x), f(x),
-              float(spec.values(x) @ colloc.coefficients),
-              float(spec.values(x) @ lsq.coefficients)) for x in xs]
-    if config.fmt == "svg":
-        width, height = 640.0, 480.0
-        arr = np.array(table)
-        bbox = svg.data_bbox([np.column_stack([arr[:, 0], arr[:, k]]) for k in (1, 2, 3)])
-        to_px = svg.transformer(bbox, width, height)
-        elements = [svg.rect(0.0, 0.0, width, height)]
-        for k, color in ((1, "#999999"), (2, "#1f77b4"), (3, "#d62728")):
-            elements.append(svg.polyline([to_px(x, y) for x, y in arr[:, [0, k]]], color))
-        elements.append(svg.text(8.0, 16.0, f"target = {config.target}"))
-        _write_text(config.out, svg.document(width, height, elements))
-        return
-    if config.fmt == "csv":
-        header = ["x", "target", "collocation", "least_squares"]
-        _write_text(config.out, _csv_text(header, [list(row) for row in table]))
-        return
-    payload = {
-        "params": _params_dict(config),
-        "samples": [{"x": row[0], "values": list(row[1:])} for row in table],
-        "polygons": [[[float(c)] for c in colloc.coefficients],
-                     [[float(c)] for c in lsq.coefficients]],
-        "results": {
-            "collocation": {"max_error": colloc.max_error, "l2_error": colloc.l2_error},
-            "least_squares": {"max_error": lsq.max_error, "l2_error": lsq.l2_error},
-        },
-    }
-    _write_text(config.out, _json_text(payload))
+RENDERERS = {"csv": render_csv, "json": render_json, "svg": render_svg}
 
 
 def _random_spec(rng: np.random.Generator) -> BasisSpec:
@@ -470,6 +453,7 @@ def _random_spec(rng: np.random.Generator) -> BasisSpec:
 
 
 def cmd_selftest(config: JobConfig) -> None:
+    """Write the seeded identity-check report as JSON, whatever --format says."""
     rng = np.random.default_rng(config.seed)
     checks = []
 
@@ -533,7 +517,9 @@ DISPATCH = {
 def main(argv=None) -> int:
     try:
         config = parse_config(argv)
-        DISPATCH[config.command](config)
+        result = DISPATCH[config.command](config)
+        if result is not None:  # selftest writes its own report
+            _write_text(config.out, RENDERERS[config.fmt](result))
     except (ValidationError, ArgumentError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

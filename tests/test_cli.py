@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 from alphabezier import make_curve, preset_polygon
-from alphabezier.cli import main
+from alphabezier.cli import build_parser, main, parse_config
+from alphabezier.curve import MAX_SUBDIVISION_DEPTH
+from alphabezier.errors import ValidationError
 
 
 def run(tmp_path, name, *args):
@@ -195,6 +198,24 @@ def test_validation_failures_exit_2(tmp_path, args):
     assert code == 2
 
 
+def test_malformed_seed_exits_2_naming_seed(monkeypatch, capsys):
+    monkeypatch.setenv("ALPHABEZIER_SEED", "abc")
+    with pytest.raises(ValidationError) as info:
+        parse_config(["--command", "selftest"])
+    assert info.value.field == "seed"
+    assert main(["--command", "selftest"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_depth_bound_is_the_curve_limit():
+    argv = ["--command", "subdivide", "--polygon", "a", "--out", "x.svg", "--depth"]
+    assert parse_config([*argv, str(MAX_SUBDIVISION_DEPTH)]).depth == MAX_SUBDIVISION_DEPTH
+    with pytest.raises(ValidationError) as info:
+        parse_config([*argv, str(MAX_SUBDIVISION_DEPTH + 1)])
+    assert info.value.field == "depth"
+    assert f"max {MAX_SUBDIVISION_DEPTH}" in build_parser().format_help()
+
+
 def test_missing_out_exits_2():
     assert main(["--command", "basis"]) == 2
 
@@ -215,3 +236,80 @@ def test_console_script_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+# ------------------------------------------------------------ golden bytes
+
+GOLDEN_POLYGONS = {
+    "line1d.txt": "# a 1-D graph\n0\n2\n-1\n3\n",
+    "space3d.json": "[[0, 0, 0], [1, 2, 0.5], [3, 1, -1], [4, 0, 2]]",
+}
+
+GOLDEN_JOBS = {
+    "basis-panel": ["--command", "basis", "--degree", "3", "--alpha=-1,2,5,inf",
+                    "--samples", "17"],
+    "basis-single": ["--command", "basis", "--degree", "4", "--alpha", "2",
+                     "--interval=-1,2", "--samples", "17"],
+    "curve": ["--command", "curve", "--polygon", "g", "--alpha", "5", "--samples", "17"],
+    "subdivide": ["--command", "subdivide", "--polygon", "a", "--alpha", "2",
+                  "--depth", "2", "--samples", "17"],
+    "elevate": ["--command", "elevate", "--polygon", "b", "--alpha", "-1",
+                "--samples", "17"],
+    "fit-rational": ["--command", "fit", "--degree", "6", "--alpha", "2",
+                     "--target", "rational1", "--samples", "33"],
+    "fit-sine": ["--command", "fit", "--degree", "7", "--alpha", "inf",
+                 "--interval=-1,1.5", "--target", "sine", "--samples", "33"],
+    "curve-1d-file": ["--command", "curve", "--polygon", "line1d.txt", "--alpha", "-1",
+                      "--samples", "17"],
+    "elevate-3d-file": ["--command", "elevate", "--polygon", "space3d.json", "--alpha", "5",
+                        "--samples", "17"],
+    "selftest": ["--command", "selftest"],
+}
+
+# sha256 of each job's output per format.  The bytes pass through BLAS and
+# libm (`@`, `solve`, `lstsq`, `sin`), so these digests belong to one
+# numpy/OpenBLAS build; selftest writes JSON whatever --format says.
+GOLDEN_DIGESTS = {
+    "basis-panel.csv": "65f85d5201c9daa949974949aed01ba681949a0b7046648d822e575872028342",
+    "basis-panel.json": "61631c7b5832ea8758431dcc9d64dc5a181695d65fcefa4fbc0d6e9302624795",
+    "basis-panel.svg": "971f72c5dff6d8e54ae953b920ec5685aa6ce1fd3e28362626479aa4e94f0f80",
+    "basis-single.csv": "5947c13e2bc6313c9b4ee5119362c9b70d703ab1b0c03f3de5f43bc3920107db",
+    "basis-single.json": "e35abf8477d2e050c81567d60a44f12a9da0af4138c0eeb3ff73b80b0b3a3fd1",
+    "basis-single.svg": "821c16a0229100712bb1b83fd6ce201ae9a07d321caff9ee6e1c4cb5f527de4b",
+    "curve.csv": "45350ba8e398b5844f0a8b05e1a0dcea90642560eb55a7d77d10d538a37e4cac",
+    "curve.json": "f1328fb632fbb3c84c294b52173c3ba5d2324b1284e872f66118060c115cab61",
+    "curve.svg": "3155a7ed1424c5efc5f4b1aba6d4a6dad6e775f7e0b05be57b443d6194588319",
+    "subdivide.csv": "20e76cf461b67e0edfb190ec90f6fd530e4e073b40dd9e1c37c0dc85cf204428",
+    "subdivide.json": "b081c45c9c43e9799f21c133bbc3db3e460c6b2d62a002226147c8c9d93b5a8d",
+    "subdivide.svg": "804ad4aad6880d055d35ef037482ae11b97e66d083569407186c3b194c280e3c",
+    "elevate.csv": "363eeb1305af76bf7343e8799ab024fe1dfef3ffdb8f5cd6e779e16eeebcd8c2",
+    "elevate.json": "347e2b6d7df3fcb395d4b7e8115881e87b93c0af694f91ee0531f4fa32cd71c2",
+    "elevate.svg": "d627d36cae9689b3c5932d0299404d9c5152c42d1e2c4f2efcb1e24855bfee0d",
+    "fit-rational.csv": "d15eaa60ecb1949d9ee05e0af09ad0da9e64856d0a7777fddbc6a1127768afac",
+    "fit-rational.json": "674767f046b303ac165929ed011e1652b23e05b1a91629d9b88f46d24cdab055",
+    "fit-rational.svg": "123db3a9c146c68c2b64275c70a8f83fb7b3b332ee343f3d96a64a2ab2c1dac2",
+    "fit-sine.csv": "3279fecc5c14ec77fa81bf359817032e09b0f5b269a5efad6aa8df7010bc2421",
+    "fit-sine.json": "e1bbb3187204799afade78a5249dbf49ba6779125e8e163b918018fe9ddfe254",
+    "fit-sine.svg": "a1cc5297777cf937cf9daa4c60c6b27445b6b27248a4175bf04299eb047ad48c",
+    "curve-1d-file.csv": "7cf6ec60f69e3892b98a5745080950d6f26c174280d2abeb11b150f5c346b3f2",
+    "curve-1d-file.json": "a8c42f1cb3dd6c71c232b3511b3871fcab10a903cebe59a231e6fa8d96e48fe2",
+    "curve-1d-file.svg": "045a14327087fe7e0dda39f79ee1b51f47f6df974d4b8ba95e1a42f2c685aca8",
+    "elevate-3d-file.csv": "1cde3835bacd5388b12b26520a7577c99c2d579063572a42f346d26b9a90e6a6",
+    "elevate-3d-file.json": "568eb1f901ffdf36e0afbe13c71a8c9cc58c05d4375d375b5713f583b2abf6d6",
+    "elevate-3d-file.svg": "2d436118ace3a35f9c22ddc6dd126bcbb1fa5aae302d726d8eb53023e6ef8f6e",
+    "selftest.csv": "757e2e808fa8035f367e8f07c634ab26fd741a28ed94e897447d7da7c6d0975a",
+    "selftest.json": "757e2e808fa8035f367e8f07c634ab26fd741a28ed94e897447d7da7c6d0975a",
+    "selftest.svg": "757e2e808fa8035f367e8f07c634ab26fd741a28ed94e897447d7da7c6d0975a",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_DIGESTS))
+def test_output_bytes_match_golden_digest(key, tmp_path, monkeypatch):
+    job, fmt = key.rsplit(".", 1)
+    monkeypatch.chdir(tmp_path)  # polygon paths are echoed into params, keep them relative
+    monkeypatch.setenv("ALPHABEZIER_SEED", "4711")
+    for name, text in GOLDEN_POLYGONS.items():
+        (tmp_path / name).write_text(text)
+    assert main([*GOLDEN_JOBS[job], "--format", fmt, "--out", f"out.{fmt}"]) == 0
+    digest = hashlib.sha256((tmp_path / f"out.{fmt}").read_bytes()).hexdigest()
+    assert digest == GOLDEN_DIGESTS[key]
