@@ -189,8 +189,13 @@ def parse_config(argv=None) -> JobConfig:
         seed = int(seed_text)
     except ValueError:
         raise ValidationError("seed", f"{SEED_ENV_VAR}={seed_text!r} is not an integer") from None
-    return JobConfig(command, degree, alphas, interval, polygon, polygon_label,
-                     ns.samples, ns.depth, fmt, out, ns.target, seed)
+    config = JobConfig(command, degree, alphas, interval, polygon, polygon_label,
+                       ns.samples, ns.depth, fmt, out, ns.target, seed)
+    if command != "selftest" and np.any(np.diff(_grid(config)) <= 0.0):
+        raise ValidationError(
+            "samples", f"{ns.samples} samples on [{interval[0]!r}, {interval[1]!r}] repeat "
+            "grid points; the interval holds too few distinct floats")
+    return config
 
 
 # ---------------------------------------------------------------- commands

@@ -182,6 +182,11 @@ class BezierCurve:
             out[i] = t * pts[i - 1] + (1.0 - t) * pts[i]
         return BezierCurve(ControlPolygon(out), self.spec.raised())
 
+    def _check_split(self, c: float) -> None:
+        if not self.a < c < self.b:
+            raise DomainError(f"split parameter {c} must lie strictly inside "
+                              f"({self.a}, {self.b})")
+
     def subdivide(self, c: float) -> SubdivisionResult:
         """Split at an interior parameter c into two same-degree curves.
 
@@ -189,25 +194,43 @@ class BezierCurve:
         the arc up to the split point, the right child the rest, and they
         share the curve point at c as a common polygon vertex.
         """
-        if not self.a < c < self.b:
-            raise DomainError(f"split parameter {c} must lie strictly inside "
-                              f"({self.a}, {self.b})")
+        self._check_split(c)
         tab = self.tableau(c)
         left = BezierCurve(ControlPolygon(tab.left_points()), self.spec)
         right = BezierCurve(ControlPolygon(tab.right_points()), self.spec)
         return SubdivisionResult(left, right, float(c))
 
     def subdivide_recursive(self, depth: int) -> list[ControlPolygon]:
-        """Polygons of the 2**depth curves from repeated midpoint splits, in curve order."""
+        """Polygons of the 2**depth curves from repeated midpoint splits, in curve order.
+
+        Every child keeps the parent's spec, so each split uses the same
+        weight w at the midpoint.  The work goes level by level: all 2**j
+        polygons of level j sit in one (2**j, n+1, d) array, and one
+        vectorized tableau splits them all, with the arithmetic of
+        ``subdivide`` applied elementwise.
+        """
         if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
             raise ArgumentError(f"depth must be a nonnegative integer, got {depth!r}")
         if depth > MAX_SUBDIVISION_DEPTH:
             raise ArgumentError(f"depth {depth} above maximum {MAX_SUBDIVISION_DEPTH}")
         if depth == 0:
             return [self.polygon]
-        parts = self.subdivide(0.5 * (self.a + self.b))
-        return (parts.left.subdivide_recursive(depth - 1)
-                + parts.right.subdivide_recursive(depth - 1))
+        c = 0.5 * (self.a + self.b)
+        self._check_split(c)
+        w = self.homography.value(c)
+        n, d = self.spec.degree, self.polygon.dim
+        polys = self.polygon.points[None]
+        for _ in range(depth):
+            cur = polys
+            left, right = [cur[:, 0]], [cur[:, -1]]
+            for _ in range(n):
+                cur = w * cur[:, 1:] + (1.0 - w) * cur[:, :-1]
+                left.append(cur[:, 0])
+                right.append(cur[:, -1])
+            # left child: first point of each level; right child: the anti-diagonal
+            halves = np.stack([np.stack(left, axis=1), np.stack(right[::-1], axis=1)], axis=1)
+            polys = halves.reshape(-1, n + 1, d)
+        return [ControlPolygon(p) for p in polys]
 
     def endpoint_tangents(self) -> EndpointTangents:
         """Derivative vectors at a and b; positive multiples of the end legs."""
@@ -307,40 +330,100 @@ def densify_polyline(points, per_edge: int = 8) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if per_edge < 1:
         raise ArgumentError("per_edge must be at least 1")
-    ts = np.arange(per_edge) / per_edge
-    rows = [(1.0 - t) * pts[i] + t * pts[i + 1]
-            for i in range(len(pts) - 1) for t in ts]
-    rows.append(pts[-1])
-    return np.array(rows)
+    ts = (np.arange(per_edge) / per_edge)[:, None]
+    rows = (1.0 - ts) * pts[:-1, None] + ts * pts[1:, None]
+    return np.vstack([rows.reshape(-1, pts.shape[1]), pts[-1:]])
 
 
-def _min_dist_to_polyline(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Distance from each point to the nearest segment of a vertex chain."""
+#: Segments searched on each side of a point's arc-length guess for its bound.
+_HAUSDORFF_WINDOW = 8
+#: Points per exact pass over all segments.
+_HAUSDORFF_BLOCK = 64
+#: Points per windowed bound pass.
+_HAUSDORFF_BOUND_ROWS = 4096
+#: Pruning needs every squared distance finite; below this magnitude no
+#: product or square in the segment kernel can overflow.
+_HAUSDORFF_PRUNE_LIMIT = 1e150
+
+
+def _segment_d2(p, v0, dv, len2):
+    """Squared distance from points p to segments v0 + t*dv, t in [0, 1].
+
+    Coordinates lie on the first axis and the rest broadcast.  Sums run in
+    coordinate order and the root is left to the caller, so every pair
+    rounds exactly as in a plain all-pairs evaluation.  The buffers are
+    reused in place: fresh temporaries the size of a whole block cost more
+    than the arithmetic.
+    """
+    shape = np.broadcast_shapes(p.shape[1:], v0.shape[1:])
+    dot, tmp, d2 = np.zeros(shape), np.empty(shape), np.zeros(shape)
+    for c in range(len(p)):
+        dot += np.multiply(np.subtract(p[c], v0[c], out=tmp), dv[c], out=tmp)
+    t = np.clip(np.divide(dot, len2, out=dot), 0.0, 1.0, out=dot)
+    for c in range(len(p)):
+        proj = np.add(v0[c], np.multiply(t, dv[c], out=tmp), out=tmp)
+        d2 += np.square(np.subtract(p[c], proj, out=tmp), out=tmp)
+    return d2
+
+
+def _arc_fractions(path: np.ndarray) -> np.ndarray:
+    """Cumulative arc length at each vertex, as a fraction of the total."""
+    cum = np.concatenate([[0.0], np.cumsum(np.sqrt(((path[1:] - path[:-1]) ** 2).sum(-1)))])
+    return cum / (cum[-1] or 1.0)
+
+
+def _max_min_d2(points: np.ndarray, vertices: np.ndarray) -> float:
+    """Largest over points of the squared distance to the nearest segment of a chain.
+
+    Each point first gets an upper bound: its minimum over a window of
+    segments around the one at the same arc-length fraction.  Points are
+    then checked exactly against all segments, in blocks, in decreasing
+    order of their bound, until the next bound cannot beat the running
+    maximum.  Skipped points cannot raise it, because a point's exact
+    minimum never exceeds its bound.
+    """
     if len(vertices) == 1:
-        return np.sqrt(((points - vertices[0]) ** 2).sum(-1))
+        return ((points - vertices[0]) ** 2).sum(-1).max()
     v0 = vertices[:-1]
     dv = vertices[1:] - v0
     len2 = (dv**2).sum(-1)
     len2 = np.where(len2 == 0.0, 1.0, len2)  # duplicate vertices act as points
-    out = np.empty(len(points))
-    for start in range(0, len(points), 128):
-        chunk = points[start : start + 128]
-        diff = chunk[:, None, :] - v0[None, :, :]
-        t = np.clip((diff * dv[None]).sum(-1) / len2[None], 0.0, 1.0)
-        proj = v0[None] + t[..., None] * dv[None]
-        d2 = ((chunk[:, None, :] - proj) ** 2).sum(-1)
-        out[start : start + 128] = np.sqrt(d2.min(axis=1))
-    return out
+    pt, v0, dv = points.T.copy(), v0.T.copy(), dv.T.copy()
+    if (np.abs(points) < _HAUSDORFF_PRUNE_LIMIT).all() and \
+            (np.abs(vertices) < _HAUSDORFF_PRUNE_LIMIT).all():
+        guess = np.searchsorted(_arc_fractions(vertices), _arc_fractions(points), side="right") - 1
+        offsets = np.arange(-_HAUSDORFF_WINDOW, _HAUSDORFF_WINDOW + 1)
+        bound = np.empty(len(points))
+        for start in range(0, len(points), _HAUSDORFF_BOUND_ROWS):
+            rows = slice(start, start + _HAUSDORFF_BOUND_ROWS)
+            window = np.clip(guess[rows, None] + offsets, 0, len(len2) - 1)
+            bound[rows] = _segment_d2(pt[:, rows, None], v0.take(window, axis=1),
+                                      dv.take(window, axis=1), len2[window]).min(axis=1)
+        order = np.argsort(-bound, kind="stable")
+    else:  # NaN, inf or overflow: no usable bound, so check every point
+        bound = np.full(len(points), np.inf)
+        order = np.arange(len(points))
+    best = -np.inf
+    for start in range(0, len(points), _HAUSDORFF_BLOCK):
+        rows = order[start : start + _HAUSDORFF_BLOCK]
+        if bound[rows[0]] <= best:
+            break
+        d2 = _segment_d2(pt[:, rows, None], v0[:, None], dv[:, None], len2)
+        best = np.maximum(best, d2.min(axis=1).max())
+    return best
 
 
 def hausdorff_distance(path_a, path_b) -> float:
-    """Approximate Hausdorff distance between two polylines.
+    """Largest distance from a vertex of either polyline to the other polyline.
 
-    One-sided vertex-to-segment distances, taken both ways; deviations
-    peaking strictly between the vertices of the source path are not
-    probed, so sample densely.
+    The exact maximum of the vertex-to-polyline distances, taken both
+    ways.  A deviation peaking strictly between the vertices of a path is
+    not probed, so sample densely.  A pruned search finds the maximum
+    without checking every vertex against every segment, and its result
+    equals the brute-force all-pairs evaluation bit for bit.
     """
     a = np.atleast_2d(np.asarray(path_a, dtype=float))
     b = np.atleast_2d(np.asarray(path_b, dtype=float))
-    return float(max(_min_dist_to_polyline(a, b).max(),
-                     _min_dist_to_polyline(b, a).max()))
+    if a.shape[1] != b.shape[1]:
+        raise ArgumentError(f"paths have point dimensions {a.shape[1]} and {b.shape[1]}")
+    return float(max(np.sqrt(_max_min_d2(a, b)), np.sqrt(_max_min_d2(b, a))))

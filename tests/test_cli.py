@@ -207,6 +207,20 @@ def test_malformed_seed_exits_2_naming_seed(monkeypatch, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["basis", "curve", "subdivide", "elevate", "fit"])
+def test_grid_finer_than_float_spacing_exits_2_naming_samples(command, tmp_path, capsys):
+    # consecutive floats near 1e16 are 2 apart, so 8 samples repeat points
+    polygon = [] if command in ("basis", "fit") else ["--polygon", "a"]
+    argv = ["--command", command, *polygon, "--interval=1e16,1.000000000000001e16",
+            "--out", str(tmp_path / "x.csv")]
+    assert parse_config([*argv, "--samples", "2"]).samples == 2
+    with pytest.raises(ValidationError) as info:
+        parse_config([*argv, "--samples", "8"])
+    assert info.value.field == "samples"
+    assert main([*argv, "--samples", "8"]) == 2
+    assert "samples" in capsys.readouterr().err
+
+
 def test_depth_bound_is_the_curve_limit():
     argv = ["--command", "subdivide", "--polygon", "a", "--out", "x.svg", "--depth"]
     assert parse_config([*argv, str(MAX_SUBDIVISION_DEPTH)]).depth == MAX_SUBDIVISION_DEPTH

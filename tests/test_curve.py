@@ -22,6 +22,7 @@ from alphabezier import (
 from helpers import any_alpha, circumradius, hull_violation, in_interval, intervals
 
 ALPHAS = (-1.0, 2.0, 5.0, INFINITY)
+ORACLE_ALPHAS = ALPHAS + (1.01, -0.01)
 
 polygons_2d = st.lists(
     st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
@@ -203,6 +204,7 @@ def test_tableau_entries_expand_in_the_lower_degree_basis():
 def test_recursive_subdivision_counts_and_endpoints():
     curve = make_curve(preset_polygon("g"), 2.0)
     assert curve.subdivide_recursive(0) == [curve.polygon]
+    assert curve.subdivide_recursive(0)[0] is curve.polygon
     pieces = curve.subdivide_recursive(4)
     assert len(pieces) == 16
     assert pieces[0][0].tolist() == curve.polygon[0].tolist()
@@ -215,6 +217,37 @@ def test_recursive_subdivision_depth_guard():
         curve.subdivide_recursive(21)
     with pytest.raises(ArgumentError):
         curve.subdivide_recursive(-1)
+
+
+@pytest.mark.parametrize("name", "abcdefghi")
+def test_batched_subdivision_matches_recursive_oracle(name):
+    for alpha in ORACLE_ALPHAS:
+        curve = make_curve(preset_polygon(name), alpha)
+        for depth in range(10):
+            pieces = curve.subdivide_recursive(depth)
+            expected = reference_subdivide_recursive(curve, depth)
+            assert len(pieces) == len(expected) == 2**depth
+            for piece, ref in zip(pieces, expected):
+                assert isinstance(piece, ControlPolygon)
+                assert np.array_equal(piece.points, ref.points)
+
+
+def test_batched_subdivision_in_one_and_three_dimensions():
+    for pts in ([0.0, 4.0, -1.0, 2.0, 0.5], [(0.0, 0.0, 0.0), (1.0, 2.0, 1.0), (3.0, -1.0, 2.0)]):
+        curve = make_curve(pts, -2.0, -1.0, 3.0)
+        for depth in (1, 3, 6):
+            for piece, ref in zip(curve.subdivide_recursive(depth),
+                                  reference_subdivide_recursive(curve, depth), strict=True):
+                assert np.array_equal(piece.points, ref.points)
+
+
+def test_subdivision_needs_an_interior_midpoint():
+    # the floats between 1e16 and 1e16 + 2 hold no midpoint
+    curve = make_curve(preset_polygon("a"), 2.0, 1e16, 1e16 + 2.0)
+    with pytest.raises(DomainError):
+        reference_subdivide_recursive(curve, 1)
+    with pytest.raises(DomainError):
+        curve.subdivide_recursive(1)
 
 
 def test_subdivision_polygons_approach_the_curve():
@@ -417,6 +450,20 @@ def test_densify_polyline():
     assert dense.tolist() == [[0.0, 0.0], [0.25, 0.0], [0.5, 0.0], [0.75, 0.0], [1.0, 0.0]]
 
 
+def test_densify_matches_per_row_oracle():
+    rng = np.random.default_rng(7)
+    chains = [rng.standard_normal((9, d)) for d in (1, 2, 3)]
+    chains.append(np.vstack([p.points for p in
+                             make_curve(preset_polygon("e"), 5.0).subdivide_recursive(4)]))
+    chains.append(np.array([[1.5, -2.0]]))
+    for chain in chains:
+        for per_edge in (1, 2, 8):
+            assert np.array_equal(densify_polyline(chain, per_edge),
+                                  reference_densify(chain, per_edge))
+    with pytest.raises(ArgumentError):
+        densify_polyline(chains[0], 0)
+
+
 def test_hausdorff_of_shifted_segments():
     a = [(0.0, 0.0), (1.0, 0.0)]
     b = [(0.0, 1.0), (1.0, 1.0)]
@@ -429,3 +476,142 @@ def test_hausdorff_sees_midsegment_shortcuts():
     vee = [(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)]
     chord = [(0.0, 0.0), (1.0, 0.0)]
     assert hausdorff_distance(vee, chord) == pytest.approx(1.0, abs=1e-12)
+
+
+def _hausdorff_case(seed):
+    """A pair of polylines; the kind cycles with the seed, then the dimension."""
+    rng = np.random.default_rng(seed)
+    dim = 1 + seed // 6 % 3
+    m, k = (int(v) for v in rng.integers(1, 260, size=2))
+    kind = seed % 6
+    if kind == 0:  # independent noise: arc-length guesses are meaningless
+        return rng.standard_normal((m, dim)), rng.standard_normal((k, dim))
+    if kind == 1:  # random walks
+        return (np.cumsum(rng.standard_normal((m, dim)), axis=0),
+                np.cumsum(rng.standard_normal((k, dim)), axis=0))
+    if kind == 2:  # one path traced backwards against the other
+        s, t = np.sort(rng.uniform(0.0, 6.0, m)), np.sort(rng.uniform(0.0, 6.0, k))
+        helix = lambda u: np.stack([np.cos(u), np.sin(u), 0.3 * u], axis=1)[:, :dim]
+        return helix(s), helix(t)[::-1]
+    if kind == 3:  # repeated vertices and zero-length segments
+        return (np.repeat(rng.standard_normal((m // 3 + 1, dim)), 3, axis=0),
+                np.round(rng.standard_normal((k, dim)), 1))
+    if kind == 4:  # a single vertex on one side
+        return rng.standard_normal((1, dim)), np.cumsum(rng.standard_normal((k, dim)), axis=0)
+    # a subdivided chain against curve samples
+    q = seed // 6
+    curve = make_curve(preset_polygon("abcdefghi"[q % 9]), ORACLE_ALPHAS[q % 6])
+    chain = np.vstack([p.points for p in curve.subdivide_recursive(8 if q % 4 == 3 else 6)])
+    return densify_polyline(chain, 2), curve.samples(np.linspace(0.0, 1.0, 512))
+
+
+@pytest.mark.parametrize("seed", range(96))
+def test_hausdorff_matches_brute_force_oracle(seed):
+    a, b = _hausdorff_case(seed)
+    assert hausdorff_distance(a, b) == reference_hausdorff(a, b)
+    if seed % 6 != 5:  # the all-pairs oracle is slow on the long chains
+        assert hausdorff_distance(a[::-1], b) == reference_hausdorff(a[::-1], b)
+
+
+def test_hausdorff_of_a_long_path_matches_brute_force_oracle():
+    # more points than one windowed bound pass takes
+    curve = make_curve(preset_polygon("c"), -1.0)
+    dense = curve.samples(np.linspace(0.0, 1.0, 9000))
+    chain = np.vstack([p.points for p in curve.subdivide_recursive(3)])
+    assert hausdorff_distance(dense, chain) == reference_hausdorff(dense, chain)
+    assert hausdorff_distance(dense[::-1], chain) == reference_hausdorff(dense[::-1], chain)
+
+
+def _farthest_point_behind_decoys():
+    """A path 0.1 above the unit segment whose farthest vertex, 0.100001
+    above the segment's end, comes last.
+
+    The 128 vertices before it sit far from their arc-length position
+    along the segment, so their bounds are loose and they are checked
+    first, in two full blocks; the last vertex's bound is tight and only
+    just above what those blocks found.
+    """
+    line = np.column_stack([np.linspace(0.0, 1.0, 1001), np.zeros(1001)])
+    run = np.linspace(0.0, 0.5, 64)
+    path = np.vstack([np.column_stack([0.5 + run, np.full(64, 0.1)]),
+                      np.column_stack([run, np.full(64, 0.1)]),
+                      [(1.0, 0.100001)]])
+    return path, line
+
+
+def test_hausdorff_checks_a_tight_bound_behind_loose_ones():
+    path, line = _farthest_point_behind_decoys()
+    assert hausdorff_distance(path, line) == reference_hausdorff(path, line)
+    assert hausdorff_distance(path, line) == pytest.approx(0.100001, rel=1e-12)
+
+
+def test_hausdorff_without_finite_bounds_matches_brute_force_oracle():
+    rng = np.random.default_rng(11)
+    a = np.cumsum(rng.standard_normal((300, 2)), axis=0)
+    b = np.cumsum(rng.standard_normal((200, 2)), axis=0)
+    path, line = _farthest_point_behind_decoys()
+    nan = a.copy()
+    nan[17, 1] = np.nan
+    inf = b.copy()
+    inf[5, 0] = np.inf
+    # 1e151 is past the pruning limit but squares stay finite; 1e200 overflows
+    cases = ((1e151 * path, 1e151 * line), (1e200 * a, 1e200 * b),
+             (nan, b), (b, nan), (a, inf), (inf, a))
+    with np.errstate(all="ignore"):
+        for x, y in cases:
+            assert np.array_equal(hausdorff_distance(x, y), reference_hausdorff(x, y),
+                                  equal_nan=True)
+    assert hausdorff_distance(*cases[0]) == pytest.approx(0.100001e151, rel=1e-12)
+
+
+def test_hausdorff_rejects_mixed_dimensions():
+    with pytest.raises(ArgumentError):
+        hausdorff_distance(np.zeros((3, 2)), np.zeros((4, 3)))
+
+
+# ------------------------------------------------------- reference kernels
+# The straightforward implementations the fast kernels replaced, kept as
+# oracles: the fast versions must agree with them bit for bit.
+
+
+def reference_subdivide_recursive(curve, depth):
+    """Depth-first recursion through BezierCurve.subdivide."""
+    if depth == 0:
+        return [curve.polygon]
+    parts = curve.subdivide(0.5 * (curve.a + curve.b))
+    return (reference_subdivide_recursive(parts.left, depth - 1)
+            + reference_subdivide_recursive(parts.right, depth - 1))
+
+
+def reference_densify(points, per_edge):
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    ts = np.arange(per_edge) / per_edge
+    rows = [(1.0 - t) * pts[i] + t * pts[i + 1] for i in range(len(pts) - 1) for t in ts]
+    rows.append(pts[-1])
+    return np.array(rows)
+
+
+def reference_min_dist_to_polyline(points, vertices):
+    """Distance from each point to the nearest segment, all pairs in 128-row chunks."""
+    if len(vertices) == 1:
+        return np.sqrt(((points - vertices[0]) ** 2).sum(-1))
+    v0 = vertices[:-1]
+    dv = vertices[1:] - v0
+    len2 = (dv**2).sum(-1)
+    len2 = np.where(len2 == 0.0, 1.0, len2)
+    out = np.empty(len(points))
+    for start in range(0, len(points), 128):
+        chunk = points[start : start + 128]
+        diff = chunk[:, None, :] - v0[None, :, :]
+        t = np.clip((diff * dv[None]).sum(-1) / len2[None], 0.0, 1.0)
+        proj = v0[None] + t[..., None] * dv[None]
+        d2 = ((chunk[:, None, :] - proj) ** 2).sum(-1)
+        out[start : start + 128] = np.sqrt(d2.min(axis=1))
+    return out
+
+
+def reference_hausdorff(path_a, path_b):
+    a = np.atleast_2d(np.asarray(path_a, dtype=float))
+    b = np.atleast_2d(np.asarray(path_b, dtype=float))
+    return float(max(reference_min_dist_to_polyline(a, b).max(),
+                     reference_min_dist_to_polyline(b, a).max()))
