@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import BasisSpec, collocation_matrix
+from .basis import BasisSpec, collocation_matrix, rowwise_dot
 from .errors import ArgumentError, SolveError
 
 #: Fits above this degree are rejected; conditioning is untested beyond it.
@@ -39,8 +39,7 @@ class FitResult:
 def _grid_errors(f: Callable[[float], float], spec: BasisSpec,
                  coeffs: np.ndarray, grid: int) -> tuple[float, float]:
     xs = np.linspace(spec.a, spec.b, grid)
-    # one dot per row: a matrix product would round differently
-    resid = np.array([f(x) - row @ coeffs for x, row in zip(xs, collocation_matrix(spec, xs))])
+    resid = np.array([f(x) for x in xs]) - rowwise_dot(collocation_matrix(spec, xs), coeffs)
     return float(np.abs(resid).max()), float(np.sqrt(np.mean(resid**2)))
 
 

@@ -6,9 +6,10 @@ For a degree n and a reparametrization w of [a, b], the basis functions are
 
 Each B_i is a rational function of degree (n, n) in x (a polynomial when the
 classical linear reparametrization is selected).  The family is positive,
-sums to 1, and is linearly independent; this module evaluates it together
-with its derivatives, peak locations, degree-raising identities and
-collocation matrices.
+sums to 1, and is linearly independent.  One kernel, ``_bernstein``,
+evaluates the closed form for one weight or an array of them; the values,
+derivatives, degree-raising identities and collocation matrices of this
+module all come from it, and peak locations come in closed form.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ArgumentError
-from .homography import HomographyMap
+from .homography import DOMAIN_RTOL, HomographyMap
 
 #: Specs above this degree are rejected at construction.
 MAX_DEGREE = 60
@@ -38,13 +39,31 @@ def binomial_row(n: int) -> np.ndarray:
     return row
 
 
-def _powers(base: float, kmax: int) -> np.ndarray:
-    # [1, base, base**2, ...] by repeated multiplication; keeps 0**0 == 1
-    out = np.empty(kmax + 1)
-    out[0] = 1.0
-    for k in range(1, kmax + 1):
-        out[k] = out[k - 1] * base
-    return out
+def _powers(base: np.ndarray, kmax: int) -> np.ndarray:
+    """[1, base, base**2, ..., base**kmax] along a new last axis; 0**0 == 1."""
+    out = np.empty(base.shape + (kmax + 1,))
+    out[..., 0] = 1.0
+    out[..., 1:] = base[..., None]
+    return np.multiply.accumulate(out, axis=-1, out=out)
+
+
+def _bernstein(n: int, w) -> np.ndarray:
+    """C(n, i) * w**i * (1 - w)**(n - i), i = 0..n, along a new last axis of w."""
+    p = _powers(np.array([w, 1.0 - w], dtype=float), n)
+    return binomial_row(n) * p[0] * p[1, ..., ::-1]
+
+
+def _differenced(n: int, w: float, order: int) -> np.ndarray:
+    """d^order/dw^order of the degree-n basis over n!/(n-order)!, from the
+    identity d/dw B^m_i = m (B^(m-1)_(i-1) - B^(m-1)_i), B^(m-1) = 0 outside 0..m-1.
+    """
+    if order > n:
+        return np.zeros(n + 1)
+    d = _bernstein(n - order, w)
+    for _ in range(order):
+        lower, d = d, np.concatenate(([0.0], d))
+        d[:-1] -= lower
+    return d
 
 
 def peak_value(n: int, i: int) -> float:
@@ -100,17 +119,17 @@ class BasisSpec:
         """The spec one degree higher on the same reparametrization."""
         return BasisSpec(self.degree + 1, self.homography)
 
-    def values(self, x: float) -> np.ndarray:
+    def values(self, x) -> np.ndarray:
         """All n+1 basis values at x, from the closed form.
 
-        Nonnegative, summing to 1; exactly (1, 0, ..., 0) at a and
-        (0, ..., 0, 1) at b.
+        A 1-D array of m points gives the (m, n+1) table whose row j equals
+        values(x[j]) bit for bit.  Nonnegative, summing to 1; exactly
+        (1, 0, ..., 0) at a and (0, ..., 0, 1) at b.
         """
-        w = self.homography.value(x)
-        n = self.degree
-        wp = _powers(w, n)
-        vp = _powers(1.0 - w, n)
-        return binomial_row(n) * wp * vp[::-1]
+        h = self.homography
+        xs = np.asarray(x, dtype=float)
+        w = h.value(x) if xs.ndim == 0 else np.array([h.value(t) for t in xs.tolist()])
+        return _bernstein(self.degree, w)
 
     def values_recursive(self, x: float) -> np.ndarray:
         """All n+1 basis values at x, built bottom-up from the two-term recursion."""
@@ -126,10 +145,8 @@ class BasisSpec:
     def derivatives(self, x: float, order: int = 1) -> np.ndarray:
         """First or second x-derivatives of all basis functions at x.
 
-        Differentiates the closed form in w through the chain rule, so the
-        result is well defined for every degree and index; terms whose
-        integer coefficient vanishes are skipped rather than evaluated as
-        0 to a negative power.
+        The chain rule applied to w-derivatives taken as differences of
+        the closed form one and two degrees lower; defined for every degree.
         """
         if order not in (1, 2):
             raise ArgumentError(f"order must be 1 or 2, got {order!r}")
@@ -137,29 +154,10 @@ class BasisSpec:
         h = self.homography
         w = h.value(x)
         w1 = h.deriv1(x)
-        w2 = h.deriv2(x) if order == 2 else 0.0
-        wp = _powers(w, n)
-        vp = _powers(1.0 - w, n)
-        binom = binomial_row(n)
-        out = np.zeros(n + 1)
-        for i in range(n + 1):
-            g1 = 0.0
-            if i >= 1:
-                g1 += i * wp[i - 1] * vp[n - i]
-            if n - i >= 1:
-                g1 -= (n - i) * wp[i] * vp[n - i - 1]
-            if order == 1:
-                out[i] = binom[i] * g1 * w1
-                continue
-            g2 = 0.0
-            if i >= 2:
-                g2 += i * (i - 1) * wp[i - 2] * vp[n - i]
-            if i >= 1 and n - i >= 1:
-                g2 -= 2.0 * i * (n - i) * wp[i - 1] * vp[n - i - 1]
-            if n - i >= 2:
-                g2 += (n - i) * (n - i - 1) * wp[i] * vp[n - i - 2]
-            out[i] = binom[i] * (g2 * w1 * w1 + g1 * w2)
-        return out
+        g1 = _differenced(n, w, 1)
+        if order == 1:
+            return g1 * (n * w1)
+        return _differenced(n, w, 2) * (n * (n - 1) * w1 * w1) + g1 * (n * h.deriv2(x))
 
     def maxima(self) -> list[MaxPoint]:
         """Peak location and height of each basis function.
@@ -194,11 +192,10 @@ def elevation_residual(spec: BasisSpec, x: float) -> float:
     w = spec.homography.value(x)
     lo = spec.values(x)
     hi = spec.raised().values(x)
-    worst = 0.0
-    for i in range(n + 1):
-        worst = max(worst, abs((1.0 - w) * lo[i] - (n + 1.0 - i) / (n + 1.0) * hi[i]))
-        worst = max(worst, abs(w * lo[i] - (i + 1.0) / (n + 1.0) * hi[i + 1]))
-    return worst
+    i = np.arange(n + 1)
+    down = np.abs((1.0 - w) * lo - (n + 1.0 - i) / (n + 1.0) * hi[:-1])
+    up = np.abs(w * lo - (i + 1.0) / (n + 1.0) * hi[1:])
+    return float(max(down.max(), up.max()))
 
 
 def collocation_matrix(spec: BasisSpec, nodes) -> np.ndarray:
@@ -214,10 +211,19 @@ def collocation_matrix(spec: BasisSpec, nodes) -> np.ndarray:
     if np.any(np.diff(xs) <= 0.0):
         raise ArgumentError("nodes must be strictly increasing")
     h = spec.homography
-    tol = 1e-12 * h.width
+    tol = DOMAIN_RTOL * h.width
     if xs[0] < h.a - tol or xs[-1] > h.b + tol:
         raise ArgumentError(f"nodes must lie inside [{h.a}, {h.b}]")
-    return np.array([spec.values(x) for x in xs])
+    return spec.values(xs)
+
+
+def rowwise_dot(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """rows[j] @ coeffs for each row j; sum_i c_i B_i(x) on a grid for a basis table.
+
+    A stack of 1-row products, so each row rounds like a lone ``row @ coeffs``;
+    one (m, k) @ (k, ...) matrix product would round differently.
+    """
+    return np.matmul(rows[:, None, :], coeffs)[:, 0]
 
 
 def is_nonsingular(matrix: np.ndarray, threshold: float = 1e-10) -> bool:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import svg
 from .approx import fit_collocation, fit_least_squares
-from .basis import BasisSpec, collocation_matrix
+from .basis import BasisSpec, collocation_matrix, rowwise_dot
 from .curve import MAX_SUBDIVISION_DEPTH, BezierCurve, ControlPolygon, make_curve
 from .errors import ArgumentError, DomainError, ValidationError
 from .homography import INFINITY, HomographyMap
@@ -36,6 +36,7 @@ COMMANDS = ("basis", "curve", "subdivide", "elevate", "fit", "selftest")
 FORMATS = ("csv", "json", "svg")
 DEFAULT_PANEL_ALPHAS = (-1.0, 2.0, 5.0, INFINITY)
 SEED_ENV_VAR = "ALPHABEZIER_SEED"
+MAX_SAMPLES = 2**16  # output tables hold one row per sample
 
 FIT_TARGETS = {
     "rational1": lambda t: t / (1.0 + t * t),
@@ -119,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--interval", default="0,1", help="parameter interval 'a,b'")
     parser.add_argument("--polygon", default=None,
                         help="preset name (a..i) or a file of control points")
-    parser.add_argument("--samples", type=int, default=512)
+    parser.add_argument("--samples", type=int, default=512, help=f"grid size (max {MAX_SAMPLES})")
     parser.add_argument("--depth", type=int, default=4,
                         help=f"subdivision recursion depth (max {MAX_SUBDIVISION_DEPTH})")
     parser.add_argument("--format", dest="fmt", choices=FORMATS, default=None)
@@ -164,8 +165,8 @@ def parse_config(argv=None) -> JobConfig:
     if degree < 1:
         raise ValidationError("degree", "degree must be at least 1")
 
-    if ns.samples < 2:
-        raise ValidationError("samples", "need at least 2 samples")
+    if not 2 <= ns.samples <= MAX_SAMPLES:
+        raise ValidationError("samples", f"samples must be in 2..{MAX_SAMPLES}, got {ns.samples}")
     if not 0 <= ns.depth <= MAX_SUBDIVISION_DEPTH:
         raise ValidationError(
             "depth", f"depth must be in 0..{MAX_SUBDIVISION_DEPTH}, got {ns.depth}")
@@ -286,9 +287,9 @@ def cmd_fit(config: JobConfig) -> Result:
     colloc = fit_collocation(f, spec)
     lsq = fit_least_squares(f, spec, max(config.samples, config.degree + 1))
     xs = _grid(config)
-    # one dot per row: a matrix product would round differently
-    table = np.array([(f(x), row @ colloc.coefficients, row @ lsq.coefficients)
-                      for x, row in zip(xs, collocation_matrix(spec, xs))])
+    rows = collocation_matrix(spec, xs)
+    table = np.column_stack([[f(x) for x in xs], rowwise_dot(rows, colloc.coefficients),
+                             rowwise_dot(rows, lsq.coefficients)])
     results = {
         "collocation": {"max_error": colloc.max_error, "l2_error": colloc.l2_error},
         "least_squares": {"max_error": lsq.max_error, "l2_error": lsq.l2_error},

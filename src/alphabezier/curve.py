@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec
+from .basis import BasisSpec, rowwise_dot
 from .errors import ArgumentError, DomainError, SingularPointError
 from .homography import HomographyMap
 
@@ -144,8 +144,8 @@ class BezierCurve:
         return self.spec.values(x) @ self.polygon.points
 
     def samples(self, xs) -> np.ndarray:
-        """Curve points at each parameter in xs, stacked row-wise."""
-        return np.array([self.point(x) for x in np.asarray(xs, dtype=float)])
+        """Curve points at each parameter in xs; row j equals point(xs[j]) bit for bit."""
+        return rowwise_dot(self.spec.values(xs), self.polygon.points)
 
     def derivative(self, x: float, order: int = 1) -> np.ndarray:
         """First or second derivative vector at x."""
@@ -173,13 +173,8 @@ class BezierCurve:
         i/(n+1) and 1 - i/(n+1); the end points are kept bit-exactly.
         """
         pts = self.polygon.points
-        n = self.spec.degree
-        out = np.empty((n + 2, pts.shape[1]))
-        out[0] = pts[0]
-        out[n + 1] = pts[n]
-        for i in range(1, n + 1):
-            t = i / (n + 1.0)
-            out[i] = t * pts[i - 1] + (1.0 - t) * pts[i]
+        t = (np.arange(1, len(pts)) / len(pts))[:, None]
+        out = np.vstack([pts[:1], t * pts[:-1] + (1.0 - t) * pts[1:], pts[-1:]])
         return BezierCurve(ControlPolygon(out), self.spec.raised())
 
     def _check_split(self, c: float) -> None:
@@ -319,10 +314,9 @@ def index_invariance(curve: BezierCurve, other: BezierCurve,
     g = other.homography
     xs = np.linspace(curve.a, curve.b, samples)
     ys = np.array([g.inverse(f.value(x)) for x in xs])
-    dev = 0.0
-    for x, y in zip(xs, ys):
-        dev = max(dev, float(np.linalg.norm(curve.point(x) - other.point(y))))
-    return CorrespondenceReport(dev, xs, ys)
+    diff = curve.samples(xs) - other.samples(ys)
+    dist = np.sqrt(rowwise_dot(diff, diff[:, :, None])[:, 0])  # rounds like np.linalg.norm
+    return CorrespondenceReport(float(dist.max(initial=0.0)), xs, ys)
 
 
 def densify_polyline(points, per_edge: int = 8) -> np.ndarray:

@@ -146,3 +146,31 @@ def second_derivative_branches(n: int, i: int, w: float, w1: float, w2: float) -
             + ((n - 1) * (n * w - 2 * i) * w + i * (i - 1)) * w1**2
         )
     return None
+
+
+# ---------------------------------------------------- reference kernels
+# The per-point loops that the array kernels replaced, kept as oracles: the
+# library must agree with them bit for bit.
+
+
+def reference_powers(base: float, kmax: int) -> np.ndarray:
+    """[1, base, base**2, ...] by repeated multiplication."""
+    out = np.empty(kmax + 1)
+    out[0] = 1.0
+    for k in range(1, kmax + 1):
+        out[k] = out[k - 1] * base
+    return out
+
+
+def reference_values(spec, x: float) -> np.ndarray:
+    """The closed form at one point, from the scalar map and the power loop."""
+    from alphabezier.basis import binomial_row
+
+    w = spec.homography.value(x)
+    n = spec.degree
+    return binomial_row(n) * reference_powers(w, n) * reference_powers(1.0 - w, n)[::-1]
+
+
+def reference_table(spec, xs) -> np.ndarray:
+    """One reference_values row per point."""
+    return np.array([reference_values(spec, x) for x in np.asarray(xs, dtype=float)])

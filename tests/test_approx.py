@@ -12,6 +12,9 @@ from alphabezier import (
     fit_collocation,
     fit_least_squares,
 )
+from helpers import reference_table
+
+ORACLE_ALPHAS = (-1.0, 2.0, 5.0, INFINITY, 1.01, -0.01)
 
 
 def spec_for(n, alpha, a=0.0, b=1.0):
@@ -101,3 +104,38 @@ def test_rational_target_error_floor():
     errors = [fit_collocation(f, spec_for(n, 2.0)).max_error for n in (3, 6, 9, 12)]
     assert all(e > 1e-12 for e in errors)
     assert errors[-1] < errors[0]
+
+
+# --------------------------------------------------- per-row fit oracles
+
+
+def reference_grid_errors(f, spec, coeffs, grid):
+    """Fit errors from one ``row @ coeffs`` per grid point."""
+    xs = np.linspace(spec.a, spec.b, grid)
+    resid = np.array([f(x) - row @ coeffs for x, row in zip(xs, reference_table(spec, xs))])
+    return float(np.abs(resid).max()), float(np.sqrt(np.mean(resid**2)))
+
+
+@pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+def test_fitters_match_per_row_oracles(alpha):
+    targets = (lambda t: t / (1.0 + t * t), lambda t: math.sin(math.pi * t))
+    for n in range(21):
+        spec = spec_for(n, alpha, -1.0, 2.0)
+        grid = 1024 if n == 8 else 97
+        for f in targets:
+            colloc = fit_collocation(f, spec, error_grid=grid)
+            nodes = np.array([mp.location for mp in spec.maxima()])
+            coeffs = np.linalg.solve(reference_table(spec, nodes), [f(x) for x in nodes])
+            assert np.array_equal(colloc.coefficients, coeffs)
+            assert (colloc.max_error, colloc.l2_error) == reference_grid_errors(f, spec, coeffs, grid)
+
+            xs = np.linspace(spec.a, spec.b, 2 * n + 5)
+            coeffs, _, rank, _ = np.linalg.lstsq(reference_table(spec, xs), [f(x) for x in xs],
+                                                 rcond=None)
+            if rank < n + 1:  # near alpha = 1 high degrees lose rank, in both
+                with pytest.raises(SolveError):
+                    fit_least_squares(f, spec, len(xs), error_grid=grid)
+                continue
+            lsq = fit_least_squares(f, spec, len(xs), error_grid=grid)
+            assert np.array_equal(lsq.coefficients, coeffs)
+            assert (lsq.max_error, lsq.l2_error) == reference_grid_errors(f, spec, coeffs, grid)

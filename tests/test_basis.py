@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,9 +25,14 @@ from helpers import (
     degrees,
     in_interval,
     intervals,
+    reference_table,
+    reference_values,
     second_derivative_branches,
     unit,
 )
+
+
+ORACLE_ALPHAS = (-1.0, 2.0, 5.0, INFINITY, 1.01, -0.01)
 
 
 def spec_for(n, alpha, a=0.0, b=1.0):
@@ -217,6 +223,55 @@ def test_second_derivative_agrees_with_published_branches():
                     assert d2[i] == pytest.approx(branch, rel=1e-12, abs=1e-12)
 
 
+def exact_derivatives(spec, x, order):
+    """Chain-rule derivatives of the closed form in exact rational arithmetic."""
+    n, h = spec.degree, spec.homography
+    a, b, x = Fraction(h.a), Fraction(h.b), Fraction(x)
+    if h.is_classical:
+        w, w1, w2 = (x - a) / (b - a), 1 / (b - a), Fraction(0)
+    else:
+        al = Fraction(h.alpha)
+        d = x + (al - 1) * b - al * a
+        w = al * (x - a) / d
+        w1 = al * (al - 1) * (b - a) / d**2
+        w2 = -2 * al * (al - 1) * (b - a) / d**3
+    u = 1 - w
+
+    def term(c, p, q):  # c * w**p * u**q, with a vanishing c never raised to p < 0
+        return c * w**p * u**q if c else 0
+
+    out = []
+    for i in range(n + 1):
+        g1 = term(i, i - 1, n - i) - term(n - i, i, n - i - 1)
+        if order == 1:
+            out.append(math.comb(n, i) * g1 * w1)
+            continue
+        g2 = (term(i * (i - 1), i - 2, n - i) - term(2 * i * (n - i), i - 1, n - i - 1)
+              + term((n - i) * (n - i - 1), i, n - i - 2))
+        out.append(math.comb(n, i) * (g2 * w1 * w1 + g1 * w2))
+    return out
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_derivatives_match_exact_rational_oracle(n):
+    # indices and intervals drawn like the benchmark's pointwise workload
+    rng = np.random.default_rng([29, n])
+    for kind in range(5):
+        for _ in range(4):
+            a = float(rng.uniform(-5.0, 5.0))
+            b = a + float(rng.uniform(0.5, 10.0))
+            alpha = (float(rng.uniform(-6.0, -1.0)), float(rng.uniform(2.0, 7.0)),
+                     INFINITY, -0.01, 1.01)[kind]
+            spec = spec_for(n, alpha, a, b)
+            for x in [a, b, *rng.uniform(a, b, 4)]:
+                for order in (1, 2):
+                    exact = exact_derivatives(spec, x, order)
+                    scale = float(max(abs(v) for v in exact))
+                    err = max(abs(Fraction(float(v)) - e)
+                              for v, e in zip(spec.derivatives(x, order), exact))
+                    assert float(err) <= 1e-12 * scale, (alpha, a, b, x, order)
+
+
 # ----------------------------------------------------------------- maxima
 
 
@@ -313,3 +368,52 @@ def test_collocation_node_validation():
         collocation_matrix(spec, [0.0, 0.5, 1.5])
     with pytest.raises(ArgumentError):
         collocation_matrix(spec, [])
+
+
+# ------------------------------------------- array kernel vs per-point loops
+
+
+def _oracle_points(a, b, seed):
+    """A grid, random points, and points clamped onto the ends."""
+    rng = np.random.default_rng(seed)
+    tol = 0.5e-12 * (b - a)
+    return np.unique(np.concatenate([[a - tol, a, b, b + tol], np.linspace(a, b, 41),
+                                     rng.uniform(a, b, 16)]))
+
+
+def reference_elevation_residual(spec, x):
+    n = spec.degree
+    w = spec.homography.value(x)
+    lo = reference_values(spec, x)
+    hi = reference_values(spec.raised(), x)
+    worst = 0.0
+    for i in range(n + 1):
+        worst = max(worst, abs((1.0 - w) * lo[i] - (n + 1.0 - i) / (n + 1.0) * hi[i]))
+        worst = max(worst, abs(w * lo[i] - (i + 1.0) / (n + 1.0) * hi[i + 1]))
+    return worst
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_value_tables_match_per_point_loop(n):
+    for alpha in ORACLE_ALPHAS:
+        for a, b in ((0.0, 1.0), (-2.5, 4.0)):
+            spec = spec_for(n, alpha, a, b)
+            xs = _oracle_points(a, b, [n, 7])
+            expected = reference_table(spec, xs)
+            table = spec.values(xs)
+            assert table.shape == (len(xs), n + 1)
+            assert np.array_equal(table, expected)
+            assert np.array_equal(spec.values(xs.tolist()), expected)
+            assert np.array_equal(collocation_matrix(spec, xs), expected)
+            for k in range(len(xs)):
+                assert np.array_equal(spec.values(xs[k]), expected[k])
+                assert np.array_equal(spec.values(float(xs[k])), expected[k])
+            for x in xs[::5]:
+                assert elevation_residual(spec, x) == reference_elevation_residual(spec, x)
+
+
+def test_value_tables_take_any_point_order():
+    spec = spec_for(7, -0.01, -1.0, 3.0)
+    xs = np.array([2.5, -1.0, 0.25, 2.5, 3.0, 0.25, 1.0])
+    assert np.array_equal(spec.values(xs), reference_table(spec, xs))
+    assert spec.values(np.empty(0)).shape == (0, 8)

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from alphabezier import make_curve, preset_polygon
-from alphabezier.cli import build_parser, main, parse_config
+from alphabezier.basis import BasisSpec
+from alphabezier.cli import FIT_TARGETS, MAX_SAMPLES, build_parser, cmd_fit, main, parse_config
 from alphabezier.curve import MAX_SUBDIVISION_DEPTH
 from alphabezier.errors import ValidationError
+from alphabezier.homography import HomographyMap
+from helpers import reference_table
 
 
 def run(tmp_path, name, *args):
@@ -228,6 +231,33 @@ def test_depth_bound_is_the_curve_limit():
         parse_config([*argv, str(MAX_SUBDIVISION_DEPTH + 1)])
     assert info.value.field == "depth"
     assert f"max {MAX_SUBDIVISION_DEPTH}" in build_parser().format_help()
+
+
+def test_samples_bound():
+    # checked before any grid is built, so an oversized value costs nothing
+    argv = ["--command", "basis", "--out", "x.svg", "--samples"]
+    assert parse_config([*argv, str(MAX_SAMPLES)]).samples == MAX_SAMPLES
+    with pytest.raises(ValidationError) as info:
+        parse_config([*argv, str(MAX_SAMPLES + 1)])
+    assert info.value.field == "samples"
+    assert f"max {MAX_SAMPLES}" in build_parser().format_help()
+
+
+@pytest.mark.parametrize("target", sorted(FIT_TARGETS))
+def test_fit_columns_match_per_row_oracle(target):
+    f = FIT_TARGETS[target]
+    for degree in (1, 4, 8, 13):
+        for alpha in ("-1", "2", "inf", "1.01", "-0.01"):
+            config = parse_config(["--command", "fit", "--degree", str(degree), "--alpha", alpha,
+                                   "--interval=-1,2", "--target", target, "--samples", "77",
+                                   "--out", "x.json"])
+            result = cmd_fit(config)
+            spec = BasisSpec(degree, HomographyMap(-1.0, 2.0, config.alphas[0]))
+            colloc, lsq = (poly[:, 0] for poly in result.polygons)
+            xs = np.linspace(-1.0, 2.0, 77)
+            expected = np.array([(f(x), row @ colloc, row @ lsq)
+                                 for x, row in zip(xs, reference_table(spec, xs))])
+            assert np.array_equal(result.tables[0][1], expected)
 
 
 def test_missing_out_exits_2():

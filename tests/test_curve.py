@@ -19,7 +19,14 @@ from alphabezier import (
     preset_polygon,
     reindexed,
 )
-from helpers import any_alpha, circumradius, hull_violation, in_interval, intervals
+from helpers import (
+    any_alpha,
+    circumradius,
+    hull_violation,
+    in_interval,
+    intervals,
+    reference_values,
+)
 
 ALPHAS = (-1.0, 2.0, 5.0, INFINITY)
 ORACLE_ALPHAS = ALPHAS + (1.01, -0.01)
@@ -442,6 +449,67 @@ def test_correspondence_requires_equal_polygons():
         index_invariance(one, other)
 
 
+def test_samples_match_per_point_oracle_on_any_point_order():
+    rng = np.random.default_rng(41)
+    xs = np.array([0.7, 0.1, 0.7, 1.0, 0.0, 0.1, 0.35])
+    for pts in (rng.normal(size=6), rng.normal(size=(5, 3)), rng.normal(size=(21, 2))):
+        for alpha in ORACLE_ALPHAS:
+            curve = make_curve(pts, alpha)
+            samples = curve.samples(xs)
+            assert samples.shape == (len(xs), curve.polygon.dim)
+            assert np.array_equal(samples, reference_samples(curve, xs))
+            assert np.array_equal(curve.samples(xs.tolist()), samples)
+            for x, row in zip(xs, samples):
+                assert np.array_equal(curve.point(x), row)
+
+
+@pytest.mark.parametrize("name", "abcdefghi")
+def test_array_kernels_match_per_point_oracles(name):
+    rng = np.random.default_rng(ord(name))
+    xs = np.concatenate([np.linspace(0.0, 1.0, 33), rng.uniform(0.0, 1.0, 12), [0.5, 0.5]])
+    for alpha in ORACLE_ALPHAS:
+        curve = make_curve(preset_polygon(name), alpha)
+        for degree in range(3, 21):
+            assert np.array_equal(curve.samples(xs), reference_samples(curve, xs))
+            if degree in (3, 20):
+                for other_alpha in ORACLE_ALPHAS:
+                    other = reindexed(curve, other_alpha, (-2.0, 3.0))
+                    report = index_invariance(curve, other, samples=24)
+                    dev, params, mapped = reference_index_invariance(curve, other, 24)
+                    assert report.max_deviation == dev
+                    assert np.array_equal(report.parameters, params)
+                    assert np.array_equal(report.mapped_parameters, mapped)
+            raised = curve.elevated()
+            assert np.array_equal(raised.polygon.points,
+                                  reference_elevated_points(curve.polygon.points))
+            curve = raised
+
+
+def test_elevation_and_invariance_in_one_and_three_dimensions():
+    rng = np.random.default_rng(43)
+    for pts in (rng.normal(size=2), rng.normal(size=9), rng.normal(size=(2, 3)),
+                rng.normal(size=(8, 3))):
+        for alpha in ORACLE_ALPHAS:
+            curve = make_curve(pts, alpha, -1.0, 2.0)
+            assert np.array_equal(curve.elevated().polygon.points,
+                                  reference_elevated_points(curve.polygon.points))
+            other = reindexed(curve, 3.0)
+            assert index_invariance(curve, other, 31).max_deviation == \
+                reference_index_invariance(curve, other, 31)[0]
+
+
+def test_invariance_distances_round_like_per_point_norms():
+    # different polygons of equal length: distances are large, so a norm
+    # that rounds differently (about 1 case in 14) changes the maximum
+    rng = np.random.default_rng(47)
+    for k in range(60):
+        pts = rng.normal(size=(int(rng.integers(2, 10)), 2 + k % 2))
+        curve = make_curve(pts, ORACLE_ALPHAS[k % 6], -1.0, 2.0)
+        other = make_curve(rng.normal(size=pts.shape), ORACLE_ALPHAS[(k + 1) % 6], 0.0, 5.0)
+        assert index_invariance(curve, other, 31).max_deviation == \
+            reference_index_invariance(curve, other, 31)[0]
+
+
 # ------------------------------------------------------------- utilities
 
 
@@ -615,3 +683,33 @@ def reference_hausdorff(path_a, path_b):
     b = np.atleast_2d(np.asarray(path_b, dtype=float))
     return float(max(reference_min_dist_to_polyline(a, b).max(),
                      reference_min_dist_to_polyline(b, a).max()))
+
+
+def reference_samples(curve, xs):
+    """One basis row times the polygon per point."""
+    pts = curve.polygon.points
+    return np.array([reference_values(curve.spec, x) @ pts for x in np.asarray(xs, dtype=float)])
+
+
+def reference_elevated_points(pts):
+    n = len(pts) - 1
+    out = np.empty((n + 2, pts.shape[1]))
+    out[0] = pts[0]
+    out[n + 1] = pts[n]
+    for i in range(1, n + 1):
+        t = i / (n + 1.0)
+        out[i] = t * pts[i - 1] + (1.0 - t) * pts[i]
+    return out
+
+
+def reference_index_invariance(curve, other, samples):
+    """Largest per-point distance, plus both parameter grids."""
+    f, g = curve.homography, other.homography
+    xs = np.linspace(curve.a, curve.b, samples)
+    ys = np.array([g.inverse(f.value(x)) for x in xs])
+    dev = 0.0
+    for x, y in zip(xs, ys):
+        p = reference_values(curve.spec, x) @ curve.polygon.points
+        q = reference_values(other.spec, y) @ other.polygon.points
+        dev = max(dev, float(np.linalg.norm(p - q)))
+    return dev, xs, ys
