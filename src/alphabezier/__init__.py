@@ -3,10 +3,12 @@
 The reparametrization w(x) = alpha (x - a) / (x + (alpha - 1) b - alpha a)
 replaces the linear map of the classical Bernstein basis; the index alpha
 (negative, above 1, or INFINITY for the classical limit) selects one basis
-family per degree.  The package evaluates these bases and their
-derivatives, runs the matching Bezier algorithms (deCasteljau, degree
-elevation, subdivision), fits scalar functions, and plots everything from
-a small CLI.
+family per degree.  With p = |alpha|, q = |alpha - 1|, s = p (x - a) and
+r = q (b - x), it is evaluated as w = s / (s + r) and 1 - w = r / (s + r):
+neither is formed by subtraction, and INFINITY is the case p = q.  The
+package evaluates these bases and their derivatives, runs the matching
+Bezier algorithms (deCasteljau, degree elevation, subdivision), fits
+scalar functions, and plots everything from a small CLI.
 """
 
 from .approx import FitResult, fit_collocation, fit_least_squares

@@ -7,9 +7,11 @@ For a degree n and a reparametrization w of [a, b], the basis functions are
 Each B_i is a rational function of degree (n, n) in x (a polynomial when the
 classical linear reparametrization is selected).  The family is positive,
 sums to 1, and is linearly independent.  One kernel, ``_bernstein``,
-evaluates the closed form for one weight or an array of them; the values,
-derivatives, degree-raising identities and collocation matrices of this
-module all come from it, and peak locations come in closed form.
+evaluates the closed form from the homography's pair (w, 1 - w) at one
+point or an array of them.  Neither weight is formed by subtraction, so
+each value keeps its relative accuracy up to the ends and the index
+margins.  The values, derivatives, degree-raising identities and
+collocation matrices all come from it; peak locations are inverse(i/n).
 """
 
 from __future__ import annotations
@@ -47,19 +49,19 @@ def _powers(base: np.ndarray, kmax: int) -> np.ndarray:
     return np.multiply.accumulate(out, axis=-1, out=out)
 
 
-def _bernstein(n: int, w) -> np.ndarray:
-    """C(n, i) * w**i * (1 - w)**(n - i), i = 0..n, along a new last axis of w."""
-    p = _powers(np.array([w, 1.0 - w], dtype=float), n)
+def _bernstein(n: int, w, u) -> np.ndarray:
+    """C(n, i) * w**i * u**(n - i), i = 0..n, along a new last axis of w; u = 1 - w."""
+    p = _powers(np.array([w, u], dtype=float), n)
     return binomial_row(n) * p[0] * p[1, ..., ::-1]
 
 
-def _differenced(n: int, w: float, order: int) -> np.ndarray:
+def _differenced(n: int, w: float, u: float, order: int) -> np.ndarray:
     """d^order/dw^order of the degree-n basis over n!/(n-order)!, from the
     identity d/dw B^m_i = m (B^(m-1)_(i-1) - B^(m-1)_i), B^(m-1) = 0 outside 0..m-1.
     """
     if order > n:
         return np.zeros(n + 1)
-    d = _bernstein(n - order, w)
+    d = _bernstein(n - order, w, u)
     for _ in range(order):
         lower, d = d, np.concatenate(([0.0], d))
         d[:-1] -= lower
@@ -126,15 +128,11 @@ class BasisSpec:
         values(x[j]) bit for bit.  Nonnegative, summing to 1; exactly
         (1, 0, ..., 0) at a and (0, ..., 0, 1) at b.
         """
-        h = self.homography
-        xs = np.asarray(x, dtype=float)
-        w = h.value(x) if xs.ndim == 0 else np.array([h.value(t) for t in xs.tolist()])
-        return _bernstein(self.degree, w)
+        return _bernstein(self.degree, *self.homography.weights(x))
 
     def values_recursive(self, x: float) -> np.ndarray:
         """All n+1 basis values at x, built bottom-up from the two-term recursion."""
-        w = self.homography.value(x)
-        u = 1.0 - w
+        w, u = self.homography.weights(x)
         vals = np.zeros(self.degree + 1)
         vals[0] = 1.0
         for r in range(1, self.degree + 1):
@@ -152,12 +150,12 @@ class BasisSpec:
             raise ArgumentError(f"order must be 1 or 2, got {order!r}")
         n = self.degree
         h = self.homography
-        w = h.value(x)
+        w, u = h.weights(x)
         w1 = h.deriv1(x)
-        g1 = _differenced(n, w, 1)
+        g1 = _differenced(n, w, u, 1)
         if order == 1:
             return g1 * (n * w1)
-        return _differenced(n, w, 2) * (n * (n - 1) * w1 * w1) + g1 * (n * h.deriv2(x))
+        return _differenced(n, w, u, 2) * (n * (n - 1) * w1 * w1) + g1 * (n * h.deriv2(x))
 
     def maxima(self) -> list[MaxPoint]:
         """Peak location and height of each basis function.
@@ -167,18 +165,7 @@ class BasisSpec:
         """
         n = self.degree
         h = self.homography
-        out = []
-        for i in range(n + 1):
-            if i == 0 or n == 0:
-                x = h.a
-            elif i == n:
-                x = h.b
-            elif h.is_classical:
-                x = h.a + (i / n) * h.width
-            else:
-                x = h.a + i * (h.alpha - 1.0) * h.width / (n * h.alpha - i)
-            out.append(MaxPoint(i, x, peak_value(n, i)))
-        return out
+        return [MaxPoint(i, h.inverse(i / max(n, 1)), peak_value(n, i)) for i in range(n + 1)]
 
 
 def elevation_residual(spec: BasisSpec, x: float) -> float:
@@ -189,11 +176,11 @@ def elevation_residual(spec: BasisSpec, x: float) -> float:
     and w * B_i equals (i+1)/(n+1) times B_{i+1} of degree n+1.
     """
     n = spec.degree
-    w = spec.homography.value(x)
+    w, u = spec.homography.weights(x)
     lo = spec.values(x)
     hi = spec.raised().values(x)
     i = np.arange(n + 1)
-    down = np.abs((1.0 - w) * lo - (n + 1.0 - i) / (n + 1.0) * hi[:-1])
+    down = np.abs(u * lo - (n + 1.0 - i) / (n + 1.0) * hi[:-1])
     up = np.abs(w * lo - (i + 1.0) / (n + 1.0) * hi[1:])
     return float(max(down.max(), up.max()))
 

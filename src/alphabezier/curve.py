@@ -153,11 +153,11 @@ class BezierCurve:
 
     def tableau(self, x: float) -> DeCasteljauTableau:
         """All interpolation levels at x; level 0 is the control polygon."""
-        w = self.homography.value(x)
+        w, u = self.homography.weights(x)
         levels = [self.polygon.points]
         cur = self.polygon.points
         for _ in range(self.spec.degree):
-            cur = w * cur[1:] + (1.0 - w) * cur[:-1]
+            cur = w * cur[1:] + u * cur[:-1]
             levels.append(cur)
         return DeCasteljauTableau(tuple(levels))
 
@@ -212,14 +212,14 @@ class BezierCurve:
             return [self.polygon]
         c = 0.5 * (self.a + self.b)
         self._check_split(c)
-        w = self.homography.value(c)
+        w, u = self.homography.weights(c)
         n, d = self.spec.degree, self.polygon.dim
         polys = self.polygon.points[None]
         for _ in range(depth):
             cur = polys
             left, right = [cur[:, 0]], [cur[:, -1]]
             for _ in range(n):
-                cur = w * cur[:, 1:] + (1.0 - w) * cur[:, :-1]
+                cur = w * cur[:, 1:] + u * cur[:, :-1]
                 left.append(cur[:, 0])
                 right.append(cur[:, -1])
             # left child: first point of each level; right child: the anti-diagonal
@@ -232,16 +232,11 @@ class BezierCurve:
         pts = self.polygon.points
         n = self.spec.degree
         h = self.homography
-        if h.is_classical:
-            sa = sb = n / h.width
-        else:
-            sa = n * h.alpha / ((h.alpha - 1.0) * h.width)
-            sb = n * (h.alpha - 1.0) / (h.alpha * h.width)
         first = pts[1] - pts[0]
         last = pts[n] - pts[n - 1]
         return EndpointTangents(
-            start=sa * first,
-            end=sb * last,
+            start=n * h.deriv1(h.a) * first,
+            end=n * h.deriv1(h.b) * last,
             start_degenerate=not np.any(first),
             end_degenerate=not np.any(last),
         )
@@ -313,7 +308,7 @@ def index_invariance(curve: BezierCurve, other: BezierCurve,
     f = curve.homography
     g = other.homography
     xs = np.linspace(curve.a, curve.b, samples)
-    ys = np.array([g.inverse(f.value(x)) for x in xs])
+    ys = g.inverse_pair(*f.weights(xs))
     diff = curve.samples(xs) - other.samples(ys)
     dist = np.sqrt(rowwise_dot(diff, diff[:, :, None])[:, 0])  # rounds like np.linalg.norm
     return CorrespondenceReport(float(dist.max(initial=0.0)), xs, ys)

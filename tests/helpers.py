@@ -1,12 +1,13 @@
 """Shared strategies and independent numerical oracles for the test suite.
 
 The oracles deliberately avoid the library's own code paths: the raw
-reparametrization formula is restated here, derivatives come from finite
-differences, maxima from golden-section search, curvature from a
-three-point circle fit.
+reparametrization formula is restated here, in floats and in exact
+rationals, derivatives come from finite differences, maxima from
+golden-section search, curvature from a three-point circle fit.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -148,29 +149,87 @@ def second_derivative_branches(n: int, i: int, w: float, w1: float, w2: float) -
     return None
 
 
-# ---------------------------------------------------- reference kernels
-# The per-point loops that the array kernels replaced, kept as oracles: the
-# library must agree with them bit for bit.
+# ------------------------------------------------- exact rational oracles
+# The paper's homography in Fraction arithmetic, where 1 - w is exact: the
+# library's float results are measured against these as relative errors.
 
 
-def reference_powers(base: float, kmax: int) -> np.ndarray:
-    """[1, base, base**2, ...] by repeated multiplication."""
-    out = np.empty(kmax + 1)
-    out[0] = 1.0
-    for k in range(1, kmax + 1):
-        out[k] = out[k - 1] * base
+def exact_weights(h, x: float) -> tuple[Fraction, Fraction]:
+    """(w, 1 - w) at the float x from the textbook formula, exactly."""
+    a, b, x = Fraction(h.a), Fraction(h.b), Fraction(x)
+    if math.isinf(h.alpha):
+        w = (x - a) / (b - a)
+    else:
+        al = Fraction(h.alpha)
+        w = al * (x - a) / (x + (al - 1) * b - al * a)
+    return w, 1 - w
+
+
+def exact_values(spec, x: float) -> tuple[list[int], int]:
+    """C(n, i) w**i (1 - w)**(n - i) at the float x, exactly.
+
+    Returned as integer numerators over one common denominator: a
+    ``Fraction`` per entry would spend most of its time on gcds of
+    numbers tens of thousands of bits long at degree 60.
+    """
+    w, u = exact_weights(spec.homography, x)  # u = 1 - w shares w's denominator
+    n = spec.degree
+    nums = [math.comb(n, i) * w.numerator**i * u.numerator ** (n - i) for i in range(n + 1)]
+    return nums, w.denominator**n
+
+
+def exact_inverse(h, w: Fraction) -> Fraction:
+    """The x with w(x) = w, from the textbook formula, exactly."""
+    a, b = Fraction(h.a), Fraction(h.b)
+    if math.isinf(h.alpha):
+        return a + w * (b - a)
+    al = Fraction(h.alpha)
+    return a + w * (al - 1) * (b - a) / (al - w)
+
+
+def exact_derivatives(spec, x, order):
+    """Chain-rule derivatives of the closed form in exact rational arithmetic."""
+    n, h = spec.degree, spec.homography
+    a, b, x = Fraction(h.a), Fraction(h.b), Fraction(x)
+    w, u = exact_weights(h, x)
+    if math.isinf(h.alpha):
+        w1, w2 = 1 / (b - a), Fraction(0)
+    else:
+        al = Fraction(h.alpha)
+        d = x + (al - 1) * b - al * a
+        w1 = al * (al - 1) * (b - a) / d**2
+        w2 = -2 * al * (al - 1) * (b - a) / d**3
+
+    def term(c, p, q):  # c * w**p * u**q, with a vanishing c never raised to p < 0
+        return c * w**p * u**q if c else 0
+
+    out = []
+    for i in range(n + 1):
+        g1 = term(i, i - 1, n - i) - term(n - i, i, n - i - 1)
+        if order == 1:
+            out.append(math.comb(n, i) * g1 * w1)
+            continue
+        g2 = (term(i * (i - 1), i - 2, n - i) - term(2 * i * (n - i), i - 1, n - i - 1)
+              + term((n - i) * (n - i - 1), i, n - i - 2))
+        out.append(math.comb(n, i) * (g2 * w1 * w1 + g1 * w2))
     return out
 
 
-def reference_values(spec, x: float) -> np.ndarray:
-    """The closed form at one point, from the scalar map and the power loop."""
-    from alphabezier.basis import binomial_row
+def worst_relative_error(computed, nums, den, floor: float = 1e-280) -> float:
+    """Largest |c - e| / max(e, floor) over floats c and exact e = num / den >= 0.
 
-    w = spec.homography.value(x)
-    n = spec.degree
-    return binomial_row(n) * reference_powers(w, n) * reference_powers(1.0 - w, n)[::-1]
+    Computed in integers and rounded once at the end.  The floor covers
+    entries so small that a partial power on the way to them passes
+    through the subnormal range, where floats hold fewer digits.
+    """
+    fn, fd = floor.as_integer_ratio()
+    worst = 0.0
+    for c, num in zip(computed, nums):
+        cn, cd = float(c).as_integer_ratio()
+        worst = max(worst, abs(cn * den - cd * num) * fd / (cd * max(num * fd, fn * den)))
+    return worst
 
 
-def reference_table(spec, xs) -> np.ndarray:
-    """One reference_values row per point."""
-    return np.array([reference_values(spec, x) for x in np.asarray(xs, dtype=float)])
+def rows_per_point(spec, xs) -> np.ndarray:
+    """One ``spec.values(x)`` row per point: the table a per-point loop builds."""
+    return np.array([spec.values(x) for x in np.asarray(xs, dtype=float)])

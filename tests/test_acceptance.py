@@ -6,6 +6,7 @@ One test per criterion; each prints a single pass/fail line (visible with
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from alphabezier import (
     reindexed,
 )
 from alphabezier.cli import main
-from helpers import argmax_oracle, central_diff1, central_diff2
+from helpers import argmax_oracle, central_diff1, central_diff2, exact_inverse
 
 PRESET_NAMES = "abcdefghi"
 FIGURE_ALPHAS = (-1.0, 2.0, 5.0, INFINITY)
@@ -140,6 +141,7 @@ def test_c05_subdivision():
 def test_c06_maxima():
     worst_loc = 0.0
     worst_val = 0.0
+    worst_exact = 0.0
     heights_equal = True
     reference_heights = None
     for alpha in (-1.0, 2.0, 5.0):
@@ -153,18 +155,19 @@ def test_c06_maxima():
                 heights = [mp.value for mp in points]
                 heights_equal &= reference_heights.setdefault(key, heights) == heights
                 for mp in points:
-                    expected = a + (mp.index / n) * (b - a) if math.isinf(alpha) else \
-                        a + mp.index * (alpha - 1.0) * (b - a) / (n * alpha - mp.index)
-                    assert mp.location == expected
+                    exact = exact_inverse(spec.homography, Fraction(mp.index, n))
+                    worst_exact = max(worst_exact, float(abs(Fraction(mp.location) - exact))
+                                      / max(abs(a), abs(b)))
                     if mp.index in (0, n):
+                        assert mp.location == (a, b)[mp.index // n]
                         continue
                     located = argmax_oracle(lambda x: spec.values(x)[mp.index], a, b)
                     worst_loc = max(worst_loc, abs(located - mp.location) / (b - a))
                     worst_val = max(worst_val, abs(spec.values(located)[mp.index] - mp.value))
-    ok = worst_loc <= 1e-8 and worst_val <= 1e-10 and heights_equal
+    ok = worst_exact <= 1e-15 and worst_loc <= 1e-8 and worst_val <= 1e-10 and heights_equal
     report(6, "basis maxima",
-           f"location {worst_loc:.3e} <= 1e-8, height {worst_val:.3e} <= 1e-10, "
-           f"heights index-free={heights_equal}", ok)
+           f"location vs exact {worst_exact:.3e} <= 1e-15, vs search {worst_loc:.3e} <= 1e-8, "
+           f"height {worst_val:.3e} <= 1e-10, heights index-free={heights_equal}", ok)
 
 
 def test_c07_derivatives():

@@ -12,7 +12,7 @@ from alphabezier import (
     fit_collocation,
     fit_least_squares,
 )
-from helpers import reference_table
+from helpers import rows_per_point
 
 ORACLE_ALPHAS = (-1.0, 2.0, 5.0, INFINITY, 1.01, -0.01)
 
@@ -112,7 +112,7 @@ def test_rational_target_error_floor():
 def reference_grid_errors(f, spec, coeffs, grid):
     """Fit errors from one ``row @ coeffs`` per grid point."""
     xs = np.linspace(spec.a, spec.b, grid)
-    resid = np.array([f(x) - row @ coeffs for x, row in zip(xs, reference_table(spec, xs))])
+    resid = np.array([f(x) - row @ coeffs for x, row in zip(xs, rows_per_point(spec, xs))])
     return float(np.abs(resid).max()), float(np.sqrt(np.mean(resid**2)))
 
 
@@ -125,12 +125,12 @@ def test_fitters_match_per_row_oracles(alpha):
         for f in targets:
             colloc = fit_collocation(f, spec, error_grid=grid)
             nodes = np.array([mp.location for mp in spec.maxima()])
-            coeffs = np.linalg.solve(reference_table(spec, nodes), [f(x) for x in nodes])
+            coeffs = np.linalg.solve(rows_per_point(spec, nodes), [f(x) for x in nodes])
             assert np.array_equal(colloc.coefficients, coeffs)
             assert (colloc.max_error, colloc.l2_error) == reference_grid_errors(f, spec, coeffs, grid)
 
             xs = np.linspace(spec.a, spec.b, 2 * n + 5)
-            coeffs, _, rank, _ = np.linalg.lstsq(reference_table(spec, xs), [f(x) for x in xs],
+            coeffs, _, rank, _ = np.linalg.lstsq(rows_per_point(spec, xs), [f(x) for x in xs],
                                                  rcond=None)
             if rank < n + 1:  # near alpha = 1 high degrees lose rank, in both
                 with pytest.raises(SolveError):

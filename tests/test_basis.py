@@ -23,12 +23,14 @@ from helpers import (
     central_diff1,
     central_diff2,
     degrees,
+    exact_derivatives,
+    exact_values,
     in_interval,
     intervals,
-    reference_table,
-    reference_values,
+    rows_per_point,
     second_derivative_branches,
     unit,
+    worst_relative_error,
 )
 
 
@@ -223,35 +225,6 @@ def test_second_derivative_agrees_with_published_branches():
                     assert d2[i] == pytest.approx(branch, rel=1e-12, abs=1e-12)
 
 
-def exact_derivatives(spec, x, order):
-    """Chain-rule derivatives of the closed form in exact rational arithmetic."""
-    n, h = spec.degree, spec.homography
-    a, b, x = Fraction(h.a), Fraction(h.b), Fraction(x)
-    if h.is_classical:
-        w, w1, w2 = (x - a) / (b - a), 1 / (b - a), Fraction(0)
-    else:
-        al = Fraction(h.alpha)
-        d = x + (al - 1) * b - al * a
-        w = al * (x - a) / d
-        w1 = al * (al - 1) * (b - a) / d**2
-        w2 = -2 * al * (al - 1) * (b - a) / d**3
-    u = 1 - w
-
-    def term(c, p, q):  # c * w**p * u**q, with a vanishing c never raised to p < 0
-        return c * w**p * u**q if c else 0
-
-    out = []
-    for i in range(n + 1):
-        g1 = term(i, i - 1, n - i) - term(n - i, i, n - i - 1)
-        if order == 1:
-            out.append(math.comb(n, i) * g1 * w1)
-            continue
-        g2 = (term(i * (i - 1), i - 2, n - i) - term(2 * i * (n - i), i - 1, n - i - 1)
-              + term((n - i) * (n - i - 1), i, n - i - 2))
-        out.append(math.comb(n, i) * (g2 * w1 * w1 + g1 * w2))
-    return out
-
-
 @pytest.mark.parametrize("n", range(13))
 def test_derivatives_match_exact_rational_oracle(n):
     # indices and intervals drawn like the benchmark's pointwise workload
@@ -370,7 +343,7 @@ def test_collocation_node_validation():
         collocation_matrix(spec, [])
 
 
-# ------------------------------------------- array kernel vs per-point loops
+# ------------------------------------- array kernel vs per-point rows, exactly
 
 
 def _oracle_points(a, b, seed):
@@ -382,13 +355,14 @@ def _oracle_points(a, b, seed):
 
 
 def reference_elevation_residual(spec, x):
+    """The residual of each identity one basis index at a time."""
     n = spec.degree
-    w = spec.homography.value(x)
-    lo = reference_values(spec, x)
-    hi = reference_values(spec.raised(), x)
+    w, u = spec.homography.weights(x)
+    lo = spec.values(x)
+    hi = spec.raised().values(x)
     worst = 0.0
     for i in range(n + 1):
-        worst = max(worst, abs((1.0 - w) * lo[i] - (n + 1.0 - i) / (n + 1.0) * hi[i]))
+        worst = max(worst, abs(u * lo[i] - (n + 1.0 - i) / (n + 1.0) * hi[i]))
         worst = max(worst, abs(w * lo[i] - (i + 1.0) / (n + 1.0) * hi[i + 1]))
     return worst
 
@@ -399,21 +373,22 @@ def test_value_tables_match_per_point_loop(n):
         for a, b in ((0.0, 1.0), (-2.5, 4.0)):
             spec = spec_for(n, alpha, a, b)
             xs = _oracle_points(a, b, [n, 7])
-            expected = reference_table(spec, xs)
             table = spec.values(xs)
             assert table.shape == (len(xs), n + 1)
-            assert np.array_equal(table, expected)
-            assert np.array_equal(spec.values(xs.tolist()), expected)
-            assert np.array_equal(collocation_matrix(spec, xs), expected)
+            assert np.array_equal(table, rows_per_point(spec, xs))
+            assert np.array_equal(spec.values(xs.tolist()), table)
+            assert np.array_equal(collocation_matrix(spec, xs), table)
             for k in range(len(xs)):
-                assert np.array_equal(spec.values(xs[k]), expected[k])
-                assert np.array_equal(spec.values(float(xs[k])), expected[k])
+                assert np.array_equal(spec.values(float(xs[k])), table[k])
             for x in xs[::5]:
                 assert elevation_residual(spec, x) == reference_elevation_residual(spec, x)
+            for x, row in zip(xs[::3], table[::3]):
+                exact = exact_values(spec, min(max(x, a), b))
+                assert worst_relative_error(row, *exact) <= 1e-14, (alpha, a, b, x)
 
 
 def test_value_tables_take_any_point_order():
     spec = spec_for(7, -0.01, -1.0, 3.0)
     xs = np.array([2.5, -1.0, 0.25, 2.5, 3.0, 0.25, 1.0])
-    assert np.array_equal(spec.values(xs), reference_table(spec, xs))
+    assert np.array_equal(spec.values(xs), rows_per_point(spec, xs))
     assert spec.values(np.empty(0)).shape == (0, 8)

@@ -12,7 +12,7 @@ from alphabezier.cli import FIT_TARGETS, MAX_SAMPLES, build_parser, cmd_fit, mai
 from alphabezier.curve import MAX_SUBDIVISION_DEPTH
 from alphabezier.errors import ValidationError
 from alphabezier.homography import HomographyMap
-from helpers import reference_table
+from helpers import rows_per_point
 
 
 def run(tmp_path, name, *args):
@@ -201,6 +201,16 @@ def test_validation_failures_exit_2(tmp_path, args):
     assert code == 2
 
 
+@pytest.mark.parametrize("interval", ["0,inf", "-1e308,1e308", "0,5e-324"])
+def test_unusable_interval_exits_2_naming_interval(interval, tmp_path):
+    argv = ["--command", "basis", f"--interval={interval}", "--alpha=-1", "--samples", "2",
+            "--format", "csv", "--out", str(tmp_path / "x.csv")]
+    with pytest.raises(ValidationError) as info:
+        parse_config(argv)
+    assert info.value.field == "interval"
+    assert main(argv) == 2
+
+
 def test_malformed_seed_exits_2_naming_seed(monkeypatch, capsys):
     monkeypatch.setenv("ALPHABEZIER_SEED", "abc")
     with pytest.raises(ValidationError) as info:
@@ -222,6 +232,29 @@ def test_grid_finer_than_float_spacing_exits_2_naming_samples(command, tmp_path,
     assert info.value.field == "samples"
     assert main([*argv, "--samples", "8"]) == 2
     assert "samples" in capsys.readouterr().err
+
+
+def test_lost_fit_rank_exits_2_naming_degree_and_index(tmp_path, capsys):
+    # near alpha = 1 the degree-17 design has numerical rank 13
+    argv = ["--command", "fit", "--format", "json", "--interval=-0.091,1.985", "--alpha=1.01",
+            "--samples", "42", "--degree", "17", "--target", "sine",
+            "--out", str(tmp_path / "fit.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: degree:") and "17" in err and "1.01" in err
+    assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--command", "basis", "--alpha=1e308", "--interval=0,10"],
+    ["--command", "curve", "--polygon", "a", "--alpha=-1e300", "--interval=0,1e10"],
+])
+def test_huge_indices_write_finite_numbers(args, tmp_path):
+    out = tmp_path / "job.csv"
+    assert main([*args, "--samples", "4", "--format", "csv", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    values = [float(v) for row in rows for v in row.split(",")]
+    assert len(rows) == 4 and all(np.isfinite(values))
 
 
 def test_depth_bound_is_the_curve_limit():
@@ -256,7 +289,7 @@ def test_fit_columns_match_per_row_oracle(target):
             colloc, lsq = (poly[:, 0] for poly in result.polygons)
             xs = np.linspace(-1.0, 2.0, 77)
             expected = np.array([(f(x), row @ colloc, row @ lsq)
-                                 for x, row in zip(xs, reference_table(spec, xs))])
+                                 for x, row in zip(xs, rows_per_point(spec, xs))])
             assert np.array_equal(result.tables[0][1], expected)
 
 
@@ -314,36 +347,36 @@ GOLDEN_JOBS = {
 # libm (`@`, `solve`, `lstsq`, `sin`), so these digests belong to one
 # numpy/OpenBLAS build; selftest writes JSON whatever --format says.
 GOLDEN_DIGESTS = {
-    "basis-panel.csv": "65f85d5201c9daa949974949aed01ba681949a0b7046648d822e575872028342",
-    "basis-panel.json": "61631c7b5832ea8758431dcc9d64dc5a181695d65fcefa4fbc0d6e9302624795",
+    "basis-panel.csv": "229b025a3f2ac52b4848ad1166c5f4285a542b9134e6c9f95cf14dc3f8c2f91c",
+    "basis-panel.json": "aca2637873bb6def81e87f6ae7f938127f14e7dc0995ee00b255c72ce721801f",
     "basis-panel.svg": "971f72c5dff6d8e54ae953b920ec5685aa6ce1fd3e28362626479aa4e94f0f80",
-    "basis-single.csv": "5947c13e2bc6313c9b4ee5119362c9b70d703ab1b0c03f3de5f43bc3920107db",
-    "basis-single.json": "e35abf8477d2e050c81567d60a44f12a9da0af4138c0eeb3ff73b80b0b3a3fd1",
+    "basis-single.csv": "18b37e7b45a80fb3a267386f21bb22f91d84cb4c1a19213e9c4cacf5c5c0c6c8",
+    "basis-single.json": "d27785f2d0e893df46956605d19e6ee3b8853884f8c44c19ce26e8469ba18851",
     "basis-single.svg": "821c16a0229100712bb1b83fd6ce201ae9a07d321caff9ee6e1c4cb5f527de4b",
-    "curve.csv": "45350ba8e398b5844f0a8b05e1a0dcea90642560eb55a7d77d10d538a37e4cac",
-    "curve.json": "f1328fb632fbb3c84c294b52173c3ba5d2324b1284e872f66118060c115cab61",
+    "curve.csv": "35051cf40029eb816630686bf31085b19696f1a734a75605eb2e6481734c098c",
+    "curve.json": "71ff63a9bd1b07c1770366b1ec3fbd55e87c132e87f2e5c1592cb8195ef21cb1",
     "curve.svg": "3155a7ed1424c5efc5f4b1aba6d4a6dad6e775f7e0b05be57b443d6194588319",
-    "subdivide.csv": "20e76cf461b67e0edfb190ec90f6fd530e4e073b40dd9e1c37c0dc85cf204428",
-    "subdivide.json": "b081c45c9c43e9799f21c133bbc3db3e460c6b2d62a002226147c8c9d93b5a8d",
+    "subdivide.csv": "020377b4db89269d3ed1eb10cfef1380da627f916b25a1280ee2a68c695df45e",
+    "subdivide.json": "973ff76f7b08925640987f7cf0cb7824412746cceffa87d7383c25779ef1e3a6",
     "subdivide.svg": "804ad4aad6880d055d35ef037482ae11b97e66d083569407186c3b194c280e3c",
     "elevate.csv": "363eeb1305af76bf7343e8799ab024fe1dfef3ffdb8f5cd6e779e16eeebcd8c2",
-    "elevate.json": "347e2b6d7df3fcb395d4b7e8115881e87b93c0af694f91ee0531f4fa32cd71c2",
+    "elevate.json": "8c3f6cc404cb269d83c189f4ca29f7e7841a1138fec21ae3bb4599a6f6f8f2cd",
     "elevate.svg": "d627d36cae9689b3c5932d0299404d9c5152c42d1e2c4f2efcb1e24855bfee0d",
-    "fit-rational.csv": "d15eaa60ecb1949d9ee05e0af09ad0da9e64856d0a7777fddbc6a1127768afac",
-    "fit-rational.json": "674767f046b303ac165929ed011e1652b23e05b1a91629d9b88f46d24cdab055",
+    "fit-rational.csv": "ee339b4a363f2cb535a2de0fae2943cc6357b8a7fabf33ce55d6675aa163818d",
+    "fit-rational.json": "8718332fa30f916f2be3ce5472e34eeeccb987c9d0288a283bad394ff34d81be",
     "fit-rational.svg": "123db3a9c146c68c2b64275c70a8f83fb7b3b332ee343f3d96a64a2ab2c1dac2",
-    "fit-sine.csv": "3279fecc5c14ec77fa81bf359817032e09b0f5b269a5efad6aa8df7010bc2421",
-    "fit-sine.json": "e1bbb3187204799afade78a5249dbf49ba6779125e8e163b918018fe9ddfe254",
+    "fit-sine.csv": "726baae3e95577a5d56ce7f1264a5c2ec07e0476a32a8e85407c56e03d76e27c",
+    "fit-sine.json": "76d15bfced799257a7698ed2a3ad329f97bdaf41b523223b6baff66d56257ea1",
     "fit-sine.svg": "a1cc5297777cf937cf9daa4c60c6b27445b6b27248a4175bf04299eb047ad48c",
-    "curve-1d-file.csv": "7cf6ec60f69e3892b98a5745080950d6f26c174280d2abeb11b150f5c346b3f2",
-    "curve-1d-file.json": "a8c42f1cb3dd6c71c232b3511b3871fcab10a903cebe59a231e6fa8d96e48fe2",
+    "curve-1d-file.csv": "220db855eb647068fca790b5b9c945207523c3708332db5c613e514855aeabd4",
+    "curve-1d-file.json": "b69babdbcaf793f7f69386413168141b70adaf10f8d86329afdc1b5a93980294",
     "curve-1d-file.svg": "045a14327087fe7e0dda39f79ee1b51f47f6df974d4b8ba95e1a42f2c685aca8",
     "elevate-3d-file.csv": "1cde3835bacd5388b12b26520a7577c99c2d579063572a42f346d26b9a90e6a6",
-    "elevate-3d-file.json": "568eb1f901ffdf36e0afbe13c71a8c9cc58c05d4375d375b5713f583b2abf6d6",
+    "elevate-3d-file.json": "50cb85ec7560d07bc2e1b1bbafca7a65deded10ddc89b2356c1c76f812543729",
     "elevate-3d-file.svg": "2d436118ace3a35f9c22ddc6dd126bcbb1fa5aae302d726d8eb53023e6ef8f6e",
-    "selftest.csv": "757e2e808fa8035f367e8f07c634ab26fd741a28ed94e897447d7da7c6d0975a",
-    "selftest.json": "757e2e808fa8035f367e8f07c634ab26fd741a28ed94e897447d7da7c6d0975a",
-    "selftest.svg": "757e2e808fa8035f367e8f07c634ab26fd741a28ed94e897447d7da7c6d0975a",
+    "selftest.csv": "6a73e2a9fadc1389d4f3172d07d7a64c41b689204ccd2e566b1881905ed6c176",
+    "selftest.json": "6a73e2a9fadc1389d4f3172d07d7a64c41b689204ccd2e566b1881905ed6c176",
+    "selftest.svg": "6a73e2a9fadc1389d4f3172d07d7a64c41b689204ccd2e566b1881905ed6c176",
 }
 
 

@@ -25,7 +25,6 @@ from helpers import (
     hull_violation,
     in_interval,
     intervals,
-    reference_values,
 )
 
 ALPHAS = (-1.0, 2.0, 5.0, INFINITY)
@@ -639,7 +638,9 @@ def test_hausdorff_rejects_mixed_dimensions():
 
 # ------------------------------------------------------- reference kernels
 # The straightforward implementations the fast kernels replaced, kept as
-# oracles: the fast versions must agree with them bit for bit.
+# oracles: the fast versions must agree with them bit for bit.  Basis rows
+# come from the library's own per-point ``values``, whose accuracy
+# test_accuracy.py measures against exact rationals.
 
 
 def reference_subdivide_recursive(curve, depth):
@@ -688,7 +689,7 @@ def reference_hausdorff(path_a, path_b):
 def reference_samples(curve, xs):
     """One basis row times the polygon per point."""
     pts = curve.polygon.points
-    return np.array([reference_values(curve.spec, x) @ pts for x in np.asarray(xs, dtype=float)])
+    return np.array([curve.spec.values(x) @ pts for x in np.asarray(xs, dtype=float)])
 
 
 def reference_elevated_points(pts):
@@ -706,10 +707,10 @@ def reference_index_invariance(curve, other, samples):
     """Largest per-point distance, plus both parameter grids."""
     f, g = curve.homography, other.homography
     xs = np.linspace(curve.a, curve.b, samples)
-    ys = np.array([g.inverse(f.value(x)) for x in xs])
+    ys = np.array([g.inverse_pair(*f.weights(x)) for x in xs])
     dev = 0.0
     for x, y in zip(xs, ys):
-        p = reference_values(curve.spec, x) @ curve.polygon.points
-        q = reference_values(other.spec, y) @ other.polygon.points
+        p = curve.spec.values(x) @ curve.polygon.points
+        q = other.spec.values(y) @ other.polygon.points
         dev = max(dev, float(np.linalg.norm(p - q)))
     return dev, xs, ys

@@ -36,12 +36,21 @@ def test_forbidden_indices_rejected(alpha):
 @pytest.mark.parametrize("alpha", [-1.0, 2.0, -1e-9, 1.0 + 1e-9, 1e8, INFINITY, -INFINITY])
 def test_valid_indices_accepted(alpha):
     h = HomographyMap(0.0, 1.0, alpha)
-    assert h.is_classical == math.isinf(alpha)
+    assert h.alpha == alpha
+    assert max(h.p, h.q) == 1.0 and min(h.p, h.q) > 0.0
+    assert (h.p == h.q) == (abs(alpha) > 2**53)  # inf, or alpha - 1 rounding to alpha
 
 
 def test_non_finite_endpoints_rejected():
     with pytest.raises(ArgumentError):
         HomographyMap(0.0, math.inf, 2.0)
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 5e-324), (1e-310, 1.1e-310), (-1e308, 1e308)])
+def test_width_must_be_a_finite_normal_float(a, b):
+    # where p (x - a) and q (b - x) could both round to 0, or overflow
+    with pytest.raises(ArgumentError):
+        HomographyMap(a, b, -1.0)
 
 
 # ------------------------------------------------------------------ value
