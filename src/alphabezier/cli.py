@@ -37,6 +37,14 @@ FORMATS = ("csv", "json", "svg")
 DEFAULT_PANEL_ALPHAS = (-1.0, 2.0, 5.0, INFINITY)
 SEED_ENV_VAR = "ALPHABEZIER_SEED"
 MAX_SAMPLES = 2**16  # output tables hold one row per sample
+#: numbers one job may write: its sample tables plus its polygons.  It admits
+#: every size flag at its own cap with the others at their defaults; the
+#: largest such job, a depth-20 subdivision of a planar cubic, writes 8.4e6.
+MAX_OUTPUT_NUMBERS = 10**7
+#: largest control-point magnitude a polygon file may hold: a curve sample
+#: sums at most 61 weighted points, and the SVG bounding-box span subtracts
+#: two, so neither can overflow
+MAX_COORDINATE = 1e300
 
 FIT_TARGETS = {
     "rational1": lambda t: t / (1.0 + t * t),
@@ -101,15 +109,22 @@ def _load_polygon(token: str) -> tuple[ControlPolygon, str]:
                 for line in text.splitlines()
                 if line.strip() and not line.lstrip().startswith("#")
             ]
-        return ControlPolygon(np.array(rows, dtype=float)), f"file:{token}"
+        polygon = ControlPolygon(np.array(rows, dtype=float))
     except (ValueError, ArgumentError, json.JSONDecodeError) as exc:
         raise ValidationError("polygon", f"cannot read control points: {exc}") from None
+    if np.abs(polygon.points).max() > MAX_COORDINATE:
+        raise ValidationError(
+            "polygon", f"control point magnitudes must be at most {MAX_COORDINATE:g}")
+    return polygon, f"file:{token}"
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="alphabezier",
         description="Rational Bernstein bases and Bezier curve tools.",
+        epilog=f"A job writes at most {MAX_OUTPUT_NUMBERS} numbers (sample tables plus "
+               f"polygons). Polygon files hold control points of magnitude at most "
+               f"{MAX_COORDINATE:g}.",
     )
     parser.add_argument("--command", required=True, choices=COMMANDS)
     parser.add_argument("--degree", type=int, default=None,
@@ -127,6 +142,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--target", default="rational1", choices=sorted(FIT_TARGETS),
                         help="named scalar function for the fit command")
     return parser
+
+
+def _output_numbers(command: str, degree: int, panels: int, polygon: ControlPolygon | None,
+                    samples: int, depth: int) -> int:
+    """How many numbers a job's result holds: x and the values per sample, plus polygons."""
+    if command == "selftest":
+        return 0
+    if command == "basis":
+        return panels * samples * (degree + 2)
+    if command == "fit":
+        return samples * 4 + 2 * (degree + 1)
+    points = {"curve": degree + 1, "subdivide": 2**depth * (degree + 1),
+              "elevate": 2 * degree + 3}[command]
+    return samples * (polygon.dim + 1) + points * polygon.dim
 
 
 def parse_config(argv=None) -> JobConfig:
@@ -170,6 +199,12 @@ def parse_config(argv=None) -> JobConfig:
         raise ValidationError(
             "depth", f"depth must be in 0..{MAX_SUBDIVISION_DEPTH}, got {ns.depth}")
 
+    numbers = _output_numbers(command, degree, len(alphas), polygon, ns.samples, ns.depth)
+    if numbers > MAX_OUTPUT_NUMBERS:
+        raise ValidationError(
+            "output", f"{command} would write {numbers} numbers, over the budget of "
+            f"{MAX_OUTPUT_NUMBERS}; lower --samples, --degree, --depth or the --alpha count")
+
     fmt = ns.fmt
     if fmt is None:
         fmt = "json" if command in ("fit", "selftest") else "svg"
@@ -207,7 +242,8 @@ class Result:
 
     ``tables`` pairs each basis index (None for commands with a single
     curve or fit) with a sample matrix: row j holds the values at
-    ``xs[j]`` and the columns are named by ``columns``.
+    ``xs[j]`` and the columns are named by ``columns``.  All ``polygons``
+    share one point dimension.
     """
 
     params: dict
@@ -327,9 +363,17 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _numbers(values) -> list[str]:
-    """Shortest round-trip text of each number."""
-    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+#: how JSON spells the numbers that ``repr`` writes as nan, inf and -inf
+JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _numbers(values, spelling: dict[str, str] | None = None) -> list[str]:
+    """Shortest round-trip text of each number; ``spelling`` renames the non-finite ones."""
+    values = np.asarray(values, dtype=float)
+    texts = list(map(repr, values.tolist()))
+    if spelling is not None and not np.isfinite(values).all():
+        texts = [spelling.get(text, text) for text in texts]
+    return texts
 
 
 def render_csv(result: Result) -> str:
@@ -355,21 +399,62 @@ def render_csv(result: Result) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_list(items: list[str], depth: int) -> str:
+    """Formatted items as the list ``json.dumps(indent=2)`` writes ``depth`` levels deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * depth
+    return f"[{pad}  " + f",{pad}  ".join(items) + f"{pad}]"
+
+
+def _json_block(value, depth: int) -> str:
+    """``json.dumps(value, indent=2)`` nested ``depth`` levels deep."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _json_samples(xs: list[str], alpha: float | None, matrix: np.ndarray) -> list[str]:
+    """One table's sample objects, each filled into one row template."""
+    label = "" if alpha is None else f'"alpha": {json.dumps(_alpha_json(alpha))},\n      '
+    row = ("{{\n      " + label + '"x": {},\n      "values": '
+           + _json_list(["{}"] * matrix.shape[1], 3) + "\n    }}")
+    columns = [_numbers(col, JSON_SPELLING) for col in matrix.T]
+    return list(map(row.format, xs, *columns))
+
+
+def _json_polygons(polygons: list[np.ndarray]) -> str:
+    """The polygon lists, formatted as one stacked table; they share a dimension."""
+    if not polygons:
+        return "[]"
+    stacked = np.concatenate(polygons)
+    point = _json_list(["{}"] * stacked.shape[1], 3)
+    points = list(map(point.format, *(_numbers(col, JSON_SPELLING) for col in stacked.T)))
+    ends = np.cumsum([len(poly) for poly in polygons]).tolist()
+    return _json_list([_json_list(points[end - len(poly):end], 2)
+                       for poly, end in zip(polygons, ends)], 1)
+
+
 def render_json(result: Result) -> str:
-    """params, samples, polygons and, for fits, results as one document."""
+    """params, samples, polygons and, for fits, results as one document.
+
+    The text is byte-identical to ``json.dumps(payload, indent=2)`` of the
+    nested dicts and lists, but the sample rows and polygons are filled into
+    fixed templates, one formatted column at a time.
+    """
+    xs = _numbers(result.xs, JSON_SPELLING)
     samples = []
-    xs = result.xs.tolist()
-    for alpha, matrix in result.tables:
-        label = {} if alpha is None else {"alpha": _alpha_json(alpha)}
-        samples.extend({**label, "x": x, "values": row} for x, row in zip(xs, matrix.tolist()))
-    payload = {
-        "params": result.params,
-        "samples": samples,
-        "polygons": [poly.tolist() for poly in result.polygons],
-    }
+    for alpha, matrix in result.tables:  # one table's column strings at a time
+        samples.extend(_json_samples(xs, alpha, matrix))
+    head = '{\n  "params": ' + _json_block(result.params, 1) + ',\n  "samples": '
+    tail = ',\n  "polygons": ' + _json_polygons(result.polygons)
     if result.results is not None:
-        payload["results"] = result.results
-    return _json_text(payload)
+        tail += ',\n  "results": ' + _json_block(result.results, 1)
+    tail += "\n}\n"
+    if not samples:
+        return head + "[]" + tail
+    # one join over the rows, so the document is never copied whole
+    samples[0] = head + "[\n    " + samples[0]
+    samples[-1] += "\n  ]" + tail
+    return ",\n    ".join(samples)
 
 
 def _planar(points: np.ndarray) -> np.ndarray:
@@ -386,8 +471,8 @@ def _graph(xs: np.ndarray, matrix: np.ndarray, bbox, colors, title: str,
     """One framed plot of every matrix column against xs."""
     to_px = svg.transformer(bbox, width, height)
     elements = [svg.rect(0.0, 0.0, width, height)]
-    for column, color in zip(matrix.T.tolist(), colors):
-        elements.append(svg.polyline([to_px(x, y) for x, y in zip(xs.tolist(), column)], color))
+    for column, color in zip(matrix.T, colors):
+        elements.append(svg.polyline(np.column_stack(to_px(xs, column)), color))
     elements.append(svg.text(8.0, 16.0, title))
     return elements
 
@@ -425,13 +510,13 @@ def _curve_figure(result: Result) -> str:
     to_px = svg.transformer(svg.data_bbox(polygons + [curve_pts]), width, height)
     elements = [svg.rect(0.0, 0.0, width, height)]
     for k, planar in enumerate(polygons):
-        pixels = [to_px(x, y) for x, y in planar.tolist()]
+        pixels = np.column_stack(to_px(*planar.T))
         dashed = dashed_first and k == 0
         color = "#999999" if dashed else svg.PALETTE[k % len(svg.PALETTE)]
         elements.append(svg.polyline(pixels, color, 1.0, "6,4" if dashed else None))
-        for x, y in pixels:
+        for x, y in pixels.tolist():
             elements.append(svg.circle(x, y, 2.5, color))
-    elements.append(svg.polyline([to_px(x, y) for x, y in curve_pts.tolist()], "#1f77b4", 2.0))
+    elements.append(svg.polyline(np.column_stack(to_px(*curve_pts.T)), "#1f77b4", 2.0))
     return svg.document(width, height, elements)
 
 

@@ -2,7 +2,9 @@
 
 Only what the CLI figures need: polylines, circles, text and translated
 groups, with fixed-precision coordinates so identical inputs produce
-byte-identical files.
+byte-identical files.  Pixels are computed a whole coordinate array at a
+time: the ``transformer`` closure takes arrays as well as floats, and
+``polyline`` formats an (m, 2) array of pixels in one pass.
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ def _fmt(v: float) -> str:
 
 
 def transformer(bbox, width: float, height: float, margin: float = 0.05):
-    """Map data (x, y) to pixel (X, Y) with a relative margin and a y flip."""
+    """Map data (x, y) to pixel (X, Y) with a relative margin and a y flip.
+
+    The returned closure takes floats or equal-shape arrays; on arrays it
+    does elementwise the same float operations, so each pixel has the same
+    bits either way.
+    """
     x0, x1, y0, y1 = bbox
     spanx = max(x1 - x0, 1e-30)
     spany = max(y1 - y0, 1e-30)
@@ -43,7 +50,10 @@ def data_bbox(point_sets) -> tuple[float, float, float, float]:
 
 
 def polyline(pixels, stroke: str, width: float = 1.5, dash: str | None = None) -> str:
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pixels)
+    """One polyline through ``pixels``, an (m, 2) sequence of (X, Y)."""
+    pts = np.asarray(pixels, dtype=float).reshape(-1, 2)
+    # one %-template for the whole line: the same text as _fmt per number, in one call
+    coords = " ".join(["%.4f,%.4f"] * len(pts)) % tuple(pts.ravel().tolist())
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (f'<polyline fill="none" stroke="{stroke}" stroke-width="{_fmt(width)}"'
             f'{dash_attr} points="{coords}"/>')

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -8,7 +9,18 @@ import pytest
 
 from alphabezier import make_curve, preset_polygon
 from alphabezier.basis import BasisSpec
-from alphabezier.cli import FIT_TARGETS, MAX_SAMPLES, build_parser, cmd_fit, main, parse_config
+from alphabezier.cli import (
+    DISPATCH,
+    FIT_TARGETS,
+    MAX_COORDINATE,
+    MAX_OUTPUT_NUMBERS,
+    MAX_SAMPLES,
+    _output_numbers,
+    build_parser,
+    cmd_fit,
+    main,
+    parse_config,
+)
 from alphabezier.curve import MAX_SUBDIVISION_DEPTH
 from alphabezier.errors import ValidationError
 from alphabezier.homography import HomographyMap
@@ -276,6 +288,44 @@ def test_samples_bound():
     assert f"max {MAX_SAMPLES}" in build_parser().format_help()
 
 
+@pytest.mark.parametrize("coordinate",
+                         ["1.7976931348623157e308", "1.7e308", "1.0000000000000002e300"])
+def test_control_points_beyond_the_limit_exit_2_naming_polygon(coordinate, tmp_path, capsys):
+    # the largest double overflows the curve samples; +-1.7e308 the SVG bbox span
+    path = tmp_path / "huge.txt"
+    path.write_text(f"{coordinate} {coordinate}\n-{coordinate} 0\n0 {coordinate}\n1 1\n")
+    argv = ["--command", "curve", "--polygon", str(path), "--alpha", "5", "--samples", "33",
+            "--format", "svg", "--out", str(tmp_path / "x.svg")]
+    with pytest.raises(ValidationError) as info:
+        parse_config(argv)
+    assert info.value.field == "polygon"
+    assert main(argv) == 2
+    assert "polygon" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("command", ["curve", "subdivide", "elevate"])
+@pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+def test_control_points_at_the_limit_write_finite_numbers(command, fmt, tmp_path):
+    big = repr(MAX_COORDINATE)
+    path = tmp_path / "big.txt"
+    path.write_text(f"{big} {big}\n-{big} -{big}\n{big} -{big}\n-{big} {big}\n")
+    out = tmp_path / f"x.{fmt}"
+    assert main(["--command", command, "--polygon", str(path), "--alpha", "5", "--samples", "33",
+                 "--depth", "2", "--format", fmt, "--out", str(out)]) == 0
+    text = out.read_text()
+    if fmt == "json":
+        doc = json.loads(text)
+        numbers = [v for row in doc["samples"] for v in [row["x"], *row["values"]]]
+        numbers += [v for poly in doc["polygons"] for point in poly for v in point]
+    elif fmt == "csv":
+        numbers = [float(v) for row in text.splitlines()[1:] for v in row.split(",")]
+    else:
+        numbers = [float(v) for attr in re.findall(r'(?:points|cx|cy)="([^"]*)"', text)
+                   for v in attr.replace(",", " ").split()]
+    assert numbers and np.all(np.isfinite(numbers))
+
+
 @pytest.mark.parametrize("target", sorted(FIT_TARGETS))
 def test_fit_columns_match_per_row_oracle(target):
     f = FIT_TARGETS[target]
@@ -390,3 +440,35 @@ def test_output_bytes_match_golden_digest(key, tmp_path, monkeypatch):
     assert main([*GOLDEN_JOBS[job], "--format", fmt, "--out", f"out.{fmt}"]) == 0
     digest = hashlib.sha256((tmp_path / f"out.{fmt}").read_bytes()).hexdigest()
     assert digest == GOLDEN_DIGESTS[key]
+
+
+def test_output_budget_is_checked_before_compute(tmp_path):
+    # parse_config only: an oversized job is never run
+    panel = ["--command", "basis", "--alpha=-1,2,5,inf", "--samples", str(MAX_SAMPLES),
+             "--out", "x.json", "--degree"]
+    assert parse_config([*panel, "36"]).degree == 36
+    with pytest.raises(ValidationError) as info:
+        parse_config([*panel, "37"])
+    assert info.value.field == "output"
+    assert str(MAX_OUTPUT_NUMBERS) in str(info.value)
+    cubic3d = tmp_path / "space3d.json"
+    cubic3d.write_text(GOLDEN_POLYGONS["space3d.json"])
+    deep = ["--command", "subdivide", "--polygon", str(cubic3d), "--depth", "20", "--out", "x"]
+    with pytest.raises(ValidationError) as info:
+        parse_config(deep)
+    assert info.value.field == "output"
+    assert str(MAX_OUTPUT_NUMBERS) in build_parser().format_help()
+
+
+@pytest.mark.parametrize("job", sorted(set(GOLDEN_JOBS) - {"selftest"}))
+def test_output_budget_counts_the_result(job, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in GOLDEN_POLYGONS.items():
+        (tmp_path / name).write_text(text)
+    config = parse_config([*GOLDEN_JOBS[job], "--out", "x"])
+    result = DISPATCH[config.command](config)
+    written = (len(result.tables) * result.xs.size + sum(m.size for _, m in result.tables)
+               + sum(poly.size for poly in result.polygons))
+    assert _output_numbers(config.command, config.degree, len(config.alphas), config.polygon,
+                           config.samples, config.depth) == written
+    assert written <= MAX_OUTPUT_NUMBERS // 1000
