@@ -45,6 +45,9 @@ MAX_OUTPUT_NUMBERS = 10**7
 #: sums at most 61 weighted points, and the SVG bounding-box span subtracts
 #: two, so neither can overflow
 MAX_COORDINATE = 1e300
+#: largest interval end a fit accepts: the targets square t, and below this
+#: t * t and every target value stay finite
+MAX_FIT_ENDPOINT = 1e150
 
 FIT_TARGETS = {
     "rational1": lambda t: t / (1.0 + t * t),
@@ -124,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rational Bernstein bases and Bezier curve tools.",
         epilog=f"A job writes at most {MAX_OUTPUT_NUMBERS} numbers (sample tables plus "
                f"polygons). Polygon files hold control points of magnitude at most "
-               f"{MAX_COORDINATE:g}.",
+               f"{MAX_COORDINATE:g}. A fit interval lies within "
+               f"[-{MAX_FIT_ENDPOINT:g}, {MAX_FIT_ENDPOINT:g}].",
     )
     parser.add_argument("--command", required=True, choices=COMMANDS)
     parser.add_argument("--degree", type=int, default=None,
@@ -162,6 +166,10 @@ def parse_config(argv=None) -> JobConfig:
     ns = build_parser().parse_args(argv)
     command = ns.command
     interval = _parse_interval(ns.interval)
+    if command == "fit" and max(abs(interval[0]), abs(interval[1])) > MAX_FIT_ENDPOINT:
+        raise ValidationError(
+            "interval", f"fit needs both ends within [-{MAX_FIT_ENDPOINT:g}, "
+            f"{MAX_FIT_ENDPOINT:g}], got {ns.interval!r}: the targets would overflow")
 
     if ns.alpha is None:
         alphas = DEFAULT_PANEL_ALPHAS if command == "basis" else (2.0,)
@@ -307,8 +315,7 @@ def cmd_curve(config: JobConfig) -> Result:
 
 def cmd_subdivide(config: JobConfig) -> Result:
     curve = _config_curve(config)
-    pieces = curve.subdivide_recursive(config.depth)
-    return _curve_result(config, curve, [piece.points for piece in pieces])
+    return _curve_result(config, curve, list(curve._subdivision_stack(config.depth)))
 
 
 def cmd_elevate(config: JobConfig) -> Result:

@@ -44,6 +44,16 @@ class ControlPolygon:
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
+    @classmethod
+    def _view(cls, points: np.ndarray) -> "ControlPolygon":
+        """A polygon over a read-only (n+1, d) array that already passed these checks.
+
+        No copy is made and ``__post_init__`` does not run.
+        """
+        polygon = object.__new__(cls)
+        object.__setattr__(polygon, "points", points)
+        return polygon
+
     def __len__(self) -> int:
         return self.points.shape[0]
 
@@ -195,21 +205,20 @@ class BezierCurve:
         right = BezierCurve(ControlPolygon(tab.right_points()), self.spec)
         return SubdivisionResult(left, right, float(c))
 
-    def subdivide_recursive(self, depth: int) -> list[ControlPolygon]:
-        """Polygons of the 2**depth curves from repeated midpoint splits, in curve order.
+    def _subdivision_stack(self, depth: int) -> np.ndarray:
+        """The polygons of ``subdivide_recursive`` as one read-only (2**depth, n+1, d) array.
 
-        Every child keeps the parent's spec, so each split uses the same
-        weight w at the midpoint.  The work goes level by level: all 2**j
-        polygons of level j sit in one (2**j, n+1, d) array, and one
-        vectorized tableau splits them all, with the arithmetic of
-        ``subdivide`` applied elementwise.
+        The work goes level by level: all 2**j polygons of level j sit in
+        one array, and one vectorized tableau splits them all, with the
+        arithmetic of ``subdivide`` applied elementwise.  The finished
+        stack is checked for finiteness once, since a split can overflow.
         """
         if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
             raise ArgumentError(f"depth must be a nonnegative integer, got {depth!r}")
         if depth > MAX_SUBDIVISION_DEPTH:
             raise ArgumentError(f"depth {depth} above maximum {MAX_SUBDIVISION_DEPTH}")
         if depth == 0:
-            return [self.polygon]
+            return self.polygon.points[None]
         c = 0.5 * (self.a + self.b)
         self._check_split(c)
         w, u = self.homography.weights(c)
@@ -225,7 +234,23 @@ class BezierCurve:
             # left child: first point of each level; right child: the anti-diagonal
             halves = np.stack([np.stack(left, axis=1), np.stack(right[::-1], axis=1)], axis=1)
             polys = halves.reshape(-1, n + 1, d)
-        return [ControlPolygon(p) for p in polys]
+        if not np.isfinite(polys).all():
+            raise ArgumentError("control points must be finite")
+        halves.flags.writeable = polys.flags.writeable = False  # the stack and its owner
+        return polys
+
+    def subdivide_recursive(self, depth: int) -> list[ControlPolygon]:
+        """Polygons of the 2**depth curves from repeated midpoint splits, in curve order.
+
+        Every child keeps the parent's spec, so each split uses the same
+        weight w at the midpoint.  All pieces are computed as one checked,
+        read-only stack (see ``_subdivision_stack``); each returned polygon
+        is a view of one row of it, not a copy.
+        """
+        stack = self._subdivision_stack(depth)
+        if depth == 0:
+            return [self.polygon]
+        return [ControlPolygon._view(row) for row in stack]
 
     def endpoint_tangents(self) -> EndpointTangents:
         """Derivative vectors at a and b; positive multiples of the end legs."""
@@ -325,9 +350,11 @@ def densify_polyline(points, per_edge: int = 8) -> np.ndarray:
 
 
 #: Segments searched on each side of a point's arc-length guess for its bound.
-_HAUSDORFF_WINDOW = 8
-#: Points per exact pass over all segments.
-_HAUSDORFF_BLOCK = 64
+_HAUSDORFF_WINDOW = 4
+#: Points per exact pass.
+_HAUSDORFF_BLOCK = 32
+#: Consecutive segments that share one bounding box in the exact pass.
+_HAUSDORFF_CHUNK = 32
 #: Points per windowed bound pass.
 _HAUSDORFF_BOUND_ROWS = 4096
 #: Pruning needs every squared distance finite; below this magnitude no
@@ -335,17 +362,21 @@ _HAUSDORFF_BOUND_ROWS = 4096
 _HAUSDORFF_PRUNE_LIMIT = 1e150
 
 
-def _segment_d2(p, v0, dv, len2):
+def _segment_d2(p, v0, dv, len2, work):
     """Squared distance from points p to segments v0 + t*dv, t in [0, 1].
 
     Coordinates lie on the first axis and the rest broadcast.  Sums run in
     coordinate order and the root is left to the caller, so every pair
-    rounds exactly as in a plain all-pairs evaluation.  The buffers are
-    reused in place: fresh temporaries the size of a whole block cost more
-    than the arithmetic.
+    rounds exactly as in a plain all-pairs evaluation.  All buffers are
+    carved from the flat float array ``work``, which must hold three per
+    pair, and the result is a view into it, valid until the next call:
+    fresh block-sized temporaries cost more than the arithmetic, the more
+    so when the allocator hands back pages it must fault in again.
     """
     shape = np.broadcast_shapes(p.shape[1:], v0.shape[1:])
-    dot, tmp, d2 = np.zeros(shape), np.empty(shape), np.zeros(shape)
+    dot, tmp, d2 = work[: 3 * np.prod(shape, dtype=int)].reshape(3, *shape)
+    dot.fill(0.0)
+    d2.fill(0.0)
     for c in range(len(p)):
         dot += np.multiply(np.subtract(p[c], v0[c], out=tmp), dv[c], out=tmp)
     t = np.clip(np.divide(dot, len2, out=dot), 0.0, 1.0, out=dot)
@@ -361,15 +392,47 @@ def _arc_fractions(path: np.ndarray) -> np.ndarray:
     return cum / (cum[-1] or 1.0)
 
 
+def _cull_margin(scale: float) -> float:
+    """How far a computed segment distance may fall below a computed box distance.
+
+    Let M be the largest coordinate magnitude and u = 2**-53.  Every
+    segment of a chunk lies in the chunk's box, so its exact distance to a
+    point p is at least p's exact distance g to the box.  The kernel clips
+    t into [0, 1], so the exact point v0 + t*(v1 - v0) lies on the
+    segment, and forming dv, t*dv, the projection and the difference moves
+    each coordinate by at most about 9uM; the squares and the coordinate
+    sum then cost a few u relative to a distance of at most 2*sqrt(3)*M.
+    Together the computed distance is at most about 50uM below g.  The box
+    distance itself is computed with a relative error of a few u.  The
+    margin 2**-40 * M is about 160 times that, so a chunk whose computed
+    box distance exceeds sqrt(bound) + margin holds no segment whose
+    computed squared distance reaches bound.  M is floored at 2**-400, so
+    the margin squared stays a normal number far above the underflow
+    spacing of the squares of tiny coordinates.
+    """
+    return 2.0**-40 * max(scale, 2.0**-400)
+
+
 def _max_min_d2(points: np.ndarray, vertices: np.ndarray) -> float:
     """Largest over points of the squared distance to the nearest segment of a chain.
 
     Each point first gets an upper bound: its minimum over a window of
     segments around the one at the same arc-length fraction.  Points are
-    then checked exactly against all segments, in blocks, in decreasing
-    order of their bound, until the next bound cannot beat the running
-    maximum.  Skipped points cannot raise it, because a point's exact
-    minimum never exceeds its bound.
+    then checked exactly, in blocks, in decreasing order of their bound,
+    until the next bound cannot beat the running maximum.  Skipped points
+    cannot raise it, because a point's exact minimum never exceeds its
+    bound.
+
+    The exact pass culls by boxes.  The segments are grouped in chunks of
+    ``_HAUSDORFF_CHUNK`` consecutive ones, each with one axis-aligned
+    bounding box.  A point is checked only against the segments of the
+    chunks whose box lies within its bound plus a rounding margin (see
+    ``_cull_margin``): no segment of another chunk can be its nearest.
+    Each surviving pair is evaluated with unchanged arithmetic, and a
+    minimum does not depend on the order, so the result equals the
+    all-pairs evaluation bit for bit.  Inputs with NaN, inf or a
+    coordinate of magnitude ``_HAUSDORFF_PRUNE_LIMIT`` or more have no
+    usable bounds; there every point is checked against every segment.
     """
     if len(vertices) == 1:
         return ((points - vertices[0]) ** 2).sum(-1).max()
@@ -378,27 +441,57 @@ def _max_min_d2(points: np.ndarray, vertices: np.ndarray) -> float:
     len2 = (dv**2).sum(-1)
     len2 = np.where(len2 == 0.0, 1.0, len2)  # duplicate vertices act as points
     pt, v0, dv = points.T.copy(), v0.T.copy(), dv.T.copy()
-    if (np.abs(points) < _HAUSDORFF_PRUNE_LIMIT).all() and \
-            (np.abs(vertices) < _HAUSDORFF_PRUNE_LIMIT).all():
-        guess = np.searchsorted(_arc_fractions(vertices), _arc_fractions(points), side="right") - 1
-        offsets = np.arange(-_HAUSDORFF_WINDOW, _HAUSDORFF_WINDOW + 1)
-        bound = np.empty(len(points))
-        for start in range(0, len(points), _HAUSDORFF_BOUND_ROWS):
-            rows = slice(start, start + _HAUSDORFF_BOUND_ROWS)
-            window = np.clip(guess[rows, None] + offsets, 0, len(len2) - 1)
-            bound[rows] = _segment_d2(pt[:, rows, None], v0.take(window, axis=1),
-                                      dv.take(window, axis=1), len2[window]).min(axis=1)
-        order = np.argsort(-bound, kind="stable")
-    else:  # NaN, inf or overflow: no usable bound, so check every point
-        bound = np.full(len(points), np.inf)
-        order = np.arange(len(points))
+    nseg = len(len2)
+    size = _HAUSDORFF_CHUNK
+    chunks = -(-nseg // size)
+    bound_rows = min(len(points), _HAUSDORFF_BOUND_ROWS)
+    work = np.empty(3 * max(_HAUSDORFF_BLOCK * chunks * size,
+                            bound_rows * (2 * _HAUSDORFF_WINDOW + 1)))
+    scale = np.maximum(np.abs(points).max(), np.abs(vertices).max())  # NaN propagates
     best = -np.inf
+    if not scale < _HAUSDORFF_PRUNE_LIMIT:  # NaN, inf or overflow: check every pair
+        for start in range(0, len(points), _HAUSDORFF_BLOCK):
+            rows = slice(start, start + _HAUSDORFF_BLOCK)
+            d2 = _segment_d2(pt[:, rows, None], v0[:, None], dv[:, None], len2, work)
+            best = np.maximum(best, d2.min(axis=1).max())
+        return best
+
+    guess = np.searchsorted(_arc_fractions(vertices), _arc_fractions(points), side="right") - 1
+    offsets = np.arange(-_HAUSDORFF_WINDOW, _HAUSDORFF_WINDOW + 1)
+    bound = np.empty(len(points))
+    for start in range(0, len(points), bound_rows):
+        rows = slice(start, start + bound_rows)
+        window = np.clip(guess[rows, None] + offsets, 0, nseg - 1)
+        bound[rows] = _segment_d2(pt[:, rows, None], v0.take(window, axis=1),
+                                  dv.take(window, axis=1), len2[window], work).min(axis=1)
+    limit = (np.sqrt(bound) + _cull_margin(scale)) ** 2
+
+    # chunk j holds segments jC .. jC+C-1; the last one is padded with copies
+    # of the final segment, which repeat its distance and leave its box alone
+    seg = np.minimum(np.arange(chunks * size), nseg - 1)
+    v0c = v0[:, seg].reshape(-1, chunks, size)
+    dvc = dv[:, seg].reshape(-1, chunks, size)
+    len2c = len2[seg].reshape(chunks, size)
+    ends = vertices[np.minimum(np.arange(1, chunks + 1) * size, nseg)].T  # each chunk's last vertex
+    lo = np.minimum(v0c.min(axis=2), ends)[:, None]
+    hi = np.maximum(v0c.max(axis=2), ends)[:, None]
+
+    order = np.argsort(-bound, kind="stable")
     for start in range(0, len(points), _HAUSDORFF_BLOCK):
         rows = order[start : start + _HAUSDORFF_BLOCK]
         if bound[rows[0]] <= best:
             break
-        d2 = _segment_d2(pt[:, rows, None], v0[:, None], dv[:, None], len2)
-        best = np.maximum(best, d2.min(axis=1).max())
+        p = pt[:, rows, None]
+        gap = np.maximum(np.maximum(lo - p, p - hi), 0.0)
+        hit, chunk = np.nonzero((gap * gap).sum(axis=0) <= limit[rows, None])
+        if 2 * len(hit) > gap[0].size:  # most chunks survive: gathering costs more than it saves
+            mins = _segment_d2(p, v0[:, None], dv[:, None], len2, work).min(axis=1)
+        else:
+            d2 = _segment_d2(pt[:, rows[hit], None], v0c[:, chunk], dvc[:, chunk],
+                             len2c[chunk], work)
+            mins = np.full(len(rows), np.inf)
+            np.minimum.at(mins, hit, d2.min(axis=1))
+        best = np.maximum(best, mins.max())
     return best
 
 
@@ -408,8 +501,11 @@ def hausdorff_distance(path_a, path_b) -> float:
     The exact maximum of the vertex-to-polyline distances, taken both
     ways.  A deviation peaking strictly between the vertices of a path is
     not probed, so sample densely.  A pruned search finds the maximum
-    without checking every vertex against every segment, and its result
-    equals the brute-force all-pairs evaluation bit for bit.
+    without checking every vertex against every segment: vertices whose
+    bound cannot raise the maximum are skipped, and the others skip every
+    chunk of segments whose bounding box lies beyond their bound (see
+    ``_max_min_d2``).  Its result equals the brute-force all-pairs
+    evaluation bit for bit.
     """
     a = np.atleast_2d(np.asarray(path_a, dtype=float))
     b = np.atleast_2d(np.asarray(path_b, dtype=float))

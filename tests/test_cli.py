@@ -13,6 +13,7 @@ from alphabezier.cli import (
     DISPATCH,
     FIT_TARGETS,
     MAX_COORDINATE,
+    MAX_FIT_ENDPOINT,
     MAX_OUTPUT_NUMBERS,
     MAX_SAMPLES,
     _output_numbers,
@@ -221,6 +222,29 @@ def test_unusable_interval_exits_2_naming_interval(interval, tmp_path):
         parse_config(argv)
     assert info.value.field == "interval"
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("interval", ["0,1e300", "-1e151,0", "-1.0000000000000002e150,1"])
+def test_fit_interval_beyond_the_target_range_exits_2_naming_interval(interval, tmp_path, capsys):
+    # t * t inside the targets would overflow and the fit would write nan
+    out = tmp_path / "fit.csv"
+    argv = ["--command", "fit", f"--interval={interval}", "--target", "rational2",
+            "--format", "csv", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: interval:")
+    assert not out.exists()
+    assert f"{MAX_FIT_ENDPOINT:g}" in build_parser().format_help()
+
+
+@pytest.mark.parametrize("target", sorted(FIT_TARGETS))
+def test_fit_interval_at_the_limit_writes_finite_numbers(target, tmp_path):
+    out = tmp_path / "fit.csv"
+    assert main(["--command", "fit", f"--interval=-{MAX_FIT_ENDPOINT!r},{MAX_FIT_ENDPOINT!r}",
+                 "--target", target, "--samples", "9", "--format", "csv",
+                 "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 9
+    assert all(np.isfinite([float(v) for row in rows for v in row.split(",")]))
 
 
 def test_malformed_seed_exits_2_naming_seed(monkeypatch, capsys):

@@ -19,6 +19,7 @@ from alphabezier import (
     preset_polygon,
     reindexed,
 )
+from alphabezier.curve import _HAUSDORFF_CHUNK
 from helpers import (
     any_alpha,
     circumradius,
@@ -254,6 +255,29 @@ def test_subdivision_needs_an_interior_midpoint():
         reference_subdivide_recursive(curve, 1)
     with pytest.raises(DomainError):
         curve.subdivide_recursive(1)
+
+
+def test_subdivision_pieces_are_read_only_views_of_one_stack():
+    for name, alpha in (("a", -1.0), ("e", 5.0), ("i", INFINITY)):
+        curve = make_curve(preset_polygon(name), alpha)
+        pieces = curve.subdivide_recursive(5)
+        stack = pieces[0].points.base
+        assert stack is not None and not stack.flags.writeable
+        for piece, ref in zip(pieces, reference_subdivide_recursive(curve, 5), strict=True):
+            assert piece.points.base is stack
+            assert not piece.points.flags.writeable
+            assert np.array_equal(piece.points, ref.points)
+        with pytest.raises(ValueError):
+            pieces[3].points[0, 0] = 0.0
+
+
+def test_subdivision_that_overflows_is_rejected():
+    # every control point is finite, but w*p + (1-w)*p rounds past the largest double
+    big = 1.7976931348623157e308
+    curve = make_curve([(big, -big)] * 4, 3.0, 0.0, 1.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ArgumentError, match="control points must be finite"):
+            curve.subdivide_recursive(3)
 
 
 def test_subdivision_polygons_approach_the_curve():
@@ -629,6 +653,74 @@ def test_hausdorff_without_finite_bounds_matches_brute_force_oracle():
             assert np.array_equal(hausdorff_distance(x, y), reference_hausdorff(x, y),
                                   equal_nan=True)
     assert hausdorff_distance(*cases[0]) == pytest.approx(0.100001e151, rel=1e-12)
+
+
+def _spiked_chain(segments):
+    """A chain along the x axis whose last segment in every chunk, and whose
+    very last segment, climbs 100 units: a box that missed a chunk's end
+    vertex would leave out most of that segment."""
+    y = np.zeros(segments + 1)
+    y[_HAUSDORFF_CHUNK::_HAUSDORFF_CHUNK] = 100.0
+    y[-1] = 100.0
+    return np.column_stack([np.arange(segments + 1.0), y])
+
+
+def _culling_cases():
+    """Planar path pairs that a wrong chunk cull would get wrong."""
+    c = _HAUSDORFF_CHUNK
+    cases = []
+    for segments in (1, c - 1, c, c + 1, 3 * c + 5):
+        chain = _spiked_chain(segments)
+        legs = 0.5 * (chain[1:] + chain[:-1])
+        cases.append((np.vstack([chain, legs + 0.25]), chain))
+        # zero-length segments: every vertex doubled, and a first chunk of one repeated point
+        cases.append((legs - 0.25, np.repeat(chain, 2, axis=0)))
+        cases.append((legs, np.vstack([np.repeat(chain[:1], c + 3, axis=0), chain])))
+    # hairpins: out along y = 0 and back along y = 1e-3, so a point's nearest
+    # segment lies in a chunk far from the one its arc length points at
+    out = np.column_stack([np.linspace(0.0, 1.0, 3 * c + 2), np.zeros(3 * c + 2)])
+    hairpin = np.vstack([out, out[::-1] + (0.0, 1e-3)])
+    cases.append((out[1::2] + (1e-4, 7e-4), hairpin))
+    cases.append((hairpin[::-3] + (0.0, 4e-4), hairpin))
+    folded = np.column_stack([np.cos(np.linspace(0.0, 6.0 * np.pi, 7 * c)),
+                              np.linspace(0.0, 1e-2, 7 * c)])
+    cases.append((folded[::5] + (0.0, 3e-3), folded))
+    return cases
+
+
+def _in_dimension(path, dim):
+    """The planar path mapped to 1-D, 2-D or 3-D by a fixed linear map."""
+    maps = {1: [[1.0], [0.3]], 2: [[1.0, 0.0], [0.0, 1.0]],
+            3: [[1.0, 0.0, 0.5], [0.0, 1.0, -0.25]]}
+    return path @ np.array(maps[dim])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 0.999e150])
+def test_culled_hausdorff_matches_brute_force_oracle(dim, scale):
+    for a, b in _culling_cases():
+        a = _in_dimension(a, dim)
+        b = _in_dimension(b, dim)
+        s = scale / max(np.abs(a).max(), np.abs(b).max()) if scale != 1.0 else 1.0
+        a, b = s * a, s * b
+        assert np.abs(np.vstack([a, b])).max() < 1e150  # the pruned, culled search runs
+        assert hausdorff_distance(a, b) == reference_hausdorff(a, b)
+        assert hausdorff_distance(b, a[::-1]) == reference_hausdorff(b, a[::-1])
+
+
+def test_culling_keeps_a_chunk_that_only_rounding_reaches():
+    # the chain ends with the segment [0.12, 1.14], whose end the kernel puts at
+    # 0.12 + (1.14 - 0.12) = 1.1400000000000001, one ulp outside the last chunk's
+    # box: at that point the computed distance is 0 while the computed box
+    # distance is not, and only the margin keeps the chunk
+    end = 0.12 + (1.14 - 0.12)
+    assert end > 1.14
+    line = np.concatenate([np.arange(-4.0 * _HAUSDORFF_CHUNK, 0.0), [0.12, 1.14]])
+    for dim in (1, 2):
+        chain = np.column_stack([line, np.zeros_like(line)])[:, :dim]
+        path = np.vstack([chain[::16], [[end, 0.0][:dim]]])  # one block of points
+        assert hausdorff_distance(path, chain) == reference_hausdorff(path, chain)
+        assert hausdorff_distance(chain, path) == reference_hausdorff(chain, path)
 
 
 def test_hausdorff_rejects_mixed_dimensions():
