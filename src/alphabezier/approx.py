@@ -5,6 +5,7 @@ small fitters put that to work: interpolation at the basis peak locations
 (a well-separated, index-aware node set at which the collocation matrix
 is comfortably nonsingular) and discrete least squares on a uniform grid.
 Neither is a convergence-rate study; they exist to measure errors.
+The target f is called once per point, with a Python float.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ class FitResult:
 def _grid_errors(f: Callable[[float], float], spec: BasisSpec,
                  coeffs: np.ndarray, grid: int) -> tuple[float, float]:
     xs = np.linspace(spec.a, spec.b, grid)
-    resid = np.array([f(x) for x in xs]) - rowwise_dot(collocation_matrix(spec, xs), coeffs)
+    fitted = rowwise_dot(collocation_matrix(spec, xs), coeffs)
+    resid = np.array([f(x) for x in xs.tolist()]) - fitted
     return float(np.abs(resid).max()), float(np.sqrt(np.mean(resid**2)))
 
 
@@ -56,7 +58,7 @@ def fit_collocation(f: Callable[[float], float], spec: BasisSpec,
         raise ArgumentError(f"degree {spec.degree} above fitting maximum {MAX_FIT_DEGREE}")
     nodes = np.array([mp.location for mp in spec.maxima()])
     matrix = collocation_matrix(spec, nodes)
-    y = np.array([f(x) for x in nodes])
+    y = np.array([f(x) for x in nodes.tolist()])
     try:
         coeffs = np.linalg.solve(matrix, y)
     except np.linalg.LinAlgError as exc:
@@ -80,7 +82,7 @@ def fit_least_squares(f: Callable[[float], float], spec: BasisSpec,
         raise ArgumentError(f"need at least {spec.degree + 1} samples, got {samples}")
     xs = np.linspace(spec.a, spec.b, samples)
     matrix = collocation_matrix(spec, xs)
-    y = np.array([f(x) for x in xs])
+    y = np.array([f(x) for x in xs.tolist()])
     coeffs, _, rank, _ = np.linalg.lstsq(matrix, y, rcond=None)
     if rank < spec.degree + 1:
         raise SolveError(f"design matrix rank {rank} below {spec.degree + 1}")

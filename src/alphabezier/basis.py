@@ -61,10 +61,10 @@ def _differenced(n: int, w: float, u: float, order: int) -> np.ndarray:
     """
     if order > n:
         return np.zeros(n + 1)
-    d = _bernstein(n - order, w, u)
+    d = np.zeros(n + 1 + order)  # the lower-degree values padded with order zeros a side
+    d[order:-order] = _bernstein(n - order, w, u)
     for _ in range(order):
-        lower, d = d, np.concatenate(([0.0], d))
-        d[:-1] -= lower
+        d = d[:-1] - d[1:]
     return d
 
 
@@ -131,14 +131,17 @@ class BasisSpec:
         return _bernstein(self.degree, *self.homography.weights(x))
 
     def values_recursive(self, x: float) -> np.ndarray:
-        """All n+1 basis values at x, built bottom-up from the two-term recursion."""
+        """All n+1 basis values at one point x, built bottom-up from the two-term recursion.
+
+        Level r sets B_i = w * B_(i-1) + u * B_i from level r - 1, where B_r
+        of level r - 1 is 0.  It runs on Python floats and makes one array
+        at the end.
+        """
         w, u = self.homography.weights(x)
-        vals = np.zeros(self.degree + 1)
-        vals[0] = 1.0
-        for r in range(1, self.degree + 1):
-            vals[1 : r + 1] = w * vals[0:r] + u * vals[1 : r + 1]
-            vals[0] = u * vals[0]
-        return vals
+        vals = [1.0]
+        for _ in range(self.degree):
+            vals = [u * vals[0]] + [w * lo + u * hi for lo, hi in zip(vals, vals[1:] + [0.0])]
+        return np.array(vals)
 
     def derivatives(self, x: float, order: int = 1) -> np.ndarray:
         """First or second x-derivatives of all basis functions at x.
@@ -148,24 +151,29 @@ class BasisSpec:
         """
         if order not in (1, 2):
             raise ArgumentError(f"order must be 1 or 2, got {order!r}")
+        return self._derivative_rows(x, order)[-1]
+
+    def _derivative_rows(self, x: float, order: int) -> tuple:
+        """The x-derivative rows of orders 1..order at x: one ``_jet`` call, and
+        the degree n-1 difference table g1 built once and shared by both orders."""
         n = self.degree
-        h = self.homography
-        w, u = h.weights(x)
-        w1 = h.deriv1(x)
+        w, u, w1, w2 = self.homography._jet(x)
         g1 = _differenced(n, w, u, 1)
+        first = g1 * (n * w1)
         if order == 1:
-            return g1 * (n * w1)
-        return _differenced(n, w, u, 2) * (n * (n - 1) * w1 * w1) + g1 * (n * h.deriv2(x))
+            return (first,)
+        return first, _differenced(n, w, u, 2) * (n * (n - 1) * w1 * w1) + g1 * (n * w2)
 
     def maxima(self) -> list[MaxPoint]:
         """Peak location and height of each basis function.
 
         The peak of B_i sits where w equals i/n; its height does not depend
         on the reparametrization index and is symmetric under i <-> n - i.
+        All n+1 locations come from one array ``inverse`` call.
         """
         n = self.degree
-        h = self.homography
-        return [MaxPoint(i, h.inverse(i / max(n, 1)), peak_value(n, i)) for i in range(n + 1)]
+        locations = self.homography.inverse(np.arange(n + 1) / max(n, 1)).tolist()
+        return [MaxPoint(i, x, peak_value(n, i)) for i, x in enumerate(locations)]
 
 
 def elevation_residual(spec: BasisSpec, x: float) -> float:

@@ -403,7 +403,8 @@ def render_csv(result: Result) -> str:
     lines = [",".join(header + result.columns)]
     for block in blocks:
         lines.extend(map(",".join, zip(*block)))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, so the text is built in one join
+    return "\n".join(lines)
 
 
 def _json_list(items: list[str], depth: int) -> str:

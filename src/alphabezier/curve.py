@@ -11,6 +11,7 @@ original interval through the split reparametrizations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,18 +268,26 @@ class BezierCurve:
         )
 
     def curvature(self, x: float) -> float:
-        """Curvature |B' x B''| / |B'|**3 at a regular point; 2-D or 3-D curves only."""
+        """Curvature |B' x B''| / |B'|**3 at a regular point; 2-D or 3-D curves only.
+
+        Both derivative rows come from one pass.  A planar cross product is
+        formed in floats as ``np.cross`` forms it for vectors padded with
+        z = 0: its x and y components are 0, or NaN when an input is not finite.
+        """
         if self.polygon.dim not in (2, 3):
             raise ArgumentError("curvature needs 2-D or 3-D control points")
-        v1 = self.derivative(x, 1)
-        v2 = self.derivative(x, 2)
-        if self.polygon.dim == 2:
-            v1 = np.append(v1, 0.0)
-            v2 = np.append(v2, 0.0)
-        speed = float(np.linalg.norm(v1))
+        v1, v2 = (row @ self.polygon.points for row in self.spec._derivative_rows(x, 2))
+        speed = math.sqrt(v1.dot(v1))  # the bits of np.linalg.norm
         if speed <= 1e-12:
             raise SingularPointError(f"first derivative vanishes at x={x!r}")
-        return float(np.linalg.norm(np.cross(v1, v2)) / speed**3)
+        if self.polygon.dim == 2:
+            (ax, ay), (bx, by) = v1.tolist(), v2.tolist()
+            cx, cy, cz = ay * 0.0 - 0.0 * by, 0.0 * bx - ax * 0.0, ax * by - ay * bx
+            cross = math.sqrt(cx * cx + cy * cy + cz * cz)
+        else:
+            c = np.cross(v1, v2)
+            cross = math.sqrt(c.dot(c))
+        return cross / speed**3
 
     def transformed(self, matrix, offset=None) -> "BezierCurve":
         """The curve under x -> M x + C, applied to the control points.
@@ -417,11 +426,13 @@ def _max_min_d2(points: np.ndarray, vertices: np.ndarray) -> float:
     """Largest over points of the squared distance to the nearest segment of a chain.
 
     Each point first gets an upper bound: its minimum over a window of
-    segments around the one at the same arc-length fraction.  Points are
-    then checked exactly, in blocks, in decreasing order of their bound,
-    until the next bound cannot beat the running maximum.  Skipped points
-    cannot raise it, because a point's exact minimum never exceeds its
-    bound.
+    segments around the one at the same arc-length fraction, counted from
+    the end of the chain when the first point lies nearer the chain's last
+    vertex than its first, so that a reversed path keeps tight bounds.
+    Points are then checked exactly, in blocks, in decreasing order of
+    their bound, until the next bound cannot beat the running maximum.
+    Skipped points cannot raise it, because a point's exact minimum never
+    exceeds its bound.
 
     The exact pass culls by boxes.  The segments are grouped in chunks of
     ``_HAUSDORFF_CHUNK`` consecutive ones, each with one axis-aligned
@@ -456,7 +467,11 @@ def _max_min_d2(points: np.ndarray, vertices: np.ndarray) -> float:
             best = np.maximum(best, d2.min(axis=1).max())
         return best
 
-    guess = np.searchsorted(_arc_fractions(vertices), _arc_fractions(points), side="right") - 1
+    fraction = _arc_fractions(points)
+    start = points[0].tolist()
+    if math.dist(start, vertices[-1].tolist()) < math.dist(start, vertices[0].tolist()):
+        fraction = 1.0 - fraction  # the paths run opposite ways
+    guess = np.searchsorted(_arc_fractions(vertices), fraction, side="right") - 1
     offsets = np.arange(-_HAUSDORFF_WINDOW, _HAUSDORFF_WINDOW + 1)
     bound = np.empty(len(points))
     for start in range(0, len(points), bound_rows):

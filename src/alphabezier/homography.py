@@ -141,15 +141,21 @@ class HomographyMap:
         w = _clamp(w, 0.0, 1.0, DOMAIN_RTOL, "w")
         return self.inverse_pair(w, 1.0 - w)
 
+    def _jet(self, x):
+        """(w, 1 - w, w', w'') at x from one clamp: the weights as in ``weights``,
+        w' = p q (b - a) / (s + r)**2 > 0 on [a, b] and w'' = 2 (q - p) w' / (s + r),
+        0 for INFINITY.  The one home of the derivative formulas."""
+        s, r, d = self._terms(x)
+        w1 = self.p * self.q * self.width / d / d
+        return s / d, r / d, w1, 2.0 * self.gap * w1 / d
+
     def deriv1(self, x):
-        """First derivative of value at x: p q (b - a) / (s + r)**2 > 0 on [a, b]."""
-        d = self._terms(x)[2]
-        return self.p * self.q * self.width / d / d
+        """First derivative of value at x; see ``_jet``."""
+        return self._jet(x)[2]
 
     def deriv2(self, x):
-        """Second derivative of value at x: 2 (q - p) w'(x) / (s + r); 0 for INFINITY."""
-        d = self._terms(x)[2]
-        return 2.0 * self.gap * (self.p * self.q * self.width / d / d) / d
+        """Second derivative of value at x; see ``_jet``."""
+        return self._jet(x)[3]
 
     def split_left(self, c: float) -> SegmentReparam:
         """Bijection of [a, b] onto [a, c] that multiplies this map by value(c)."""

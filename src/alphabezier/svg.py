@@ -73,17 +73,19 @@ def rect(x: float, y: float, w: float, h: float, stroke: str = "#cccccc") -> str
             f'fill="none" stroke="{stroke}"/>')
 
 
+def _lines(first: str, elements, last: str) -> str:
+    """first, each element and last, one per line, in one join; no elements
+    leave one empty line between first and last."""
+    return "\n".join([first, *(list(elements) or [""]), last])
+
+
 def group(elements, tx: float, ty: float) -> str:
-    body = "\n".join(elements)
-    return f'<g transform="translate({_fmt(tx)},{_fmt(ty)})">\n{body}\n</g>'
+    return _lines(f'<g transform="translate({_fmt(tx)},{_fmt(ty)})">', elements, "</g>")
 
 
 def document(width: float, height: float, elements) -> str:
-    body = "\n".join(elements)
-    return (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
-        f"{body}\n</svg>\n"
-    )
+    head = ('<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{_fmt(width)}" height="{_fmt(height)}" '
+            f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">')
+    return _lines(head, elements, "</svg>\n")

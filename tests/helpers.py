@@ -6,13 +6,14 @@ rationals, derivatives come from finite differences, maxima from
 golden-section search, curvature from a three-point circle fit.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
 
-from alphabezier import INFINITY
+from alphabezier import INFINITY, BasisSpec
 
 # ------------------------------------------------------------ strategies
 
@@ -233,3 +234,73 @@ def worst_relative_error(computed, nums, den, floor: float = 1e-280) -> float:
 def rows_per_point(spec, xs) -> np.ndarray:
     """One ``spec.values(x)`` row per point: the table a per-point loop builds."""
     return np.array([spec.values(x) for x in np.asarray(xs, dtype=float)])
+
+
+# ------------------------------------------- one-point calls, bit for bit
+# The one-point code paths as they stood before they were fused: the fast
+# versions must return the same bytes, or raise the same error, on these
+# edge cases.  Unlike the oracles above they reuse the library's unchanged
+# pieces (``weights``, ``_terms``, the closed-form ``values``).
+
+#: Indices at both margins of the forbidden band, far out, and the linear map.
+EDGE_ALPHAS = (-1e-9, 1.0 + 1e-9, -0.01, 1.01, 1e300, -1e300, INFINITY)
+
+#: Intervals; two have an end at -0.0.
+EDGE_INTERVALS = ((0.0, 1.0), (-2.5, 4.0), (-0.0, 3.0), (-1.5, -0.0))
+
+
+def edge_points(a: float, b: float) -> list[float]:
+    """a and b, points clamped onto them, interior points, and one point out of range."""
+    w = b - a
+    return [a, b, a - 0.5e-12 * w, b + 0.5e-12 * w, a + 1e-9 * w, a + 0.3 * w,
+            0.5 * (a + b), b - 1e-9 * w, b + 1e-6 * w]
+
+
+def _bits(value):
+    """A comparable form of a result: types, shapes and the bytes of every float."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, *map(_bits, value))
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,
+                *(_bits(getattr(value, f.name)) for f in dataclasses.fields(value)))
+    return (type(value).__name__, np.float64(value).tobytes())
+
+
+def outcome(fn, *args):
+    """The bits of ``fn(*args)``, or the type and text of the error it raises."""
+    try:
+        return _bits(fn(*args))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def reference_w_derivatives(h, x) -> tuple:
+    """w'(x) and w''(x) as two separate calls once computed them, each clamping x."""
+    d = h._terms(x)[2]
+    w1 = h.p * h.q * h.width / d / d
+    d = h._terms(x)[2]
+    return w1, 2.0 * h.gap * (h.p * h.q * h.width / d / d) / d
+
+
+def reference_differenced(spec, x, order: int) -> np.ndarray:
+    """The w-difference table, padded by ``np.concatenate`` one level at a time."""
+    n = spec.degree
+    if order > n:
+        return np.zeros(n + 1)
+    d = BasisSpec(n - order, spec.homography).values(x)
+    for _ in range(order):
+        lower, d = d, np.concatenate(([0.0], d))
+        d[:-1] -= lower
+    return d
+
+
+def reference_derivatives(spec, x, order: int) -> np.ndarray:
+    """Basis x-derivatives from w' and w'' with a clamp each and two separate tables."""
+    n = spec.degree
+    w1, w2 = reference_w_derivatives(spec.homography, x)
+    g1 = reference_differenced(spec, x, 1)
+    if order == 1:
+        return g1 * (n * w1)
+    return reference_differenced(spec, x, 2) * (n * (n - 1) * w1 * w1) + g1 * (n * w2)

@@ -11,6 +11,7 @@ from alphabezier import (
     ArgumentError,
     BasisSpec,
     HomographyMap,
+    MaxPoint,
     binomial_row,
     collocation_matrix,
     elevation_residual,
@@ -18,15 +19,20 @@ from alphabezier import (
     peak_value,
 )
 from helpers import (
+    EDGE_ALPHAS,
+    EDGE_INTERVALS,
     any_alpha,
     argmax_oracle,
     central_diff1,
     central_diff2,
     degrees,
+    edge_points,
     exact_derivatives,
     exact_values,
     in_interval,
     intervals,
+    outcome,
+    reference_derivatives,
     rows_per_point,
     second_derivative_branches,
     unit,
@@ -392,3 +398,46 @@ def test_value_tables_take_any_point_order():
     xs = np.array([2.5, -1.0, 0.25, 2.5, 3.0, 0.25, 1.0])
     assert np.array_equal(spec.values(xs), rows_per_point(spec, xs))
     assert spec.values(np.empty(0)).shape == (0, 8)
+
+
+# ------------------------------------ one-point calls vs the loops they replaced
+
+
+def reference_values_recursive(spec, x):
+    """The two-term recursion as numpy slice updates of one array."""
+    w, u = spec.homography.weights(x)
+    vals = np.zeros(spec.degree + 1)
+    vals[0] = 1.0
+    for r in range(1, spec.degree + 1):
+        vals[1 : r + 1] = w * vals[0:r] + u * vals[1 : r + 1]
+        vals[0] = u * vals[0]
+    return vals
+
+
+def reference_maxima(spec):
+    """One scalar ``inverse`` call per peak."""
+    n, h = spec.degree, spec.homography
+    return [MaxPoint(i, h.inverse(i / max(n, 1)), peak_value(n, i)) for i in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", range(61))
+def test_one_point_calls_match_the_loops_they_replaced(n):
+    for alpha in EDGE_ALPHAS:
+        for a, b in EDGE_INTERVALS:
+            spec = spec_for(n, alpha, a, b)
+            assert outcome(spec.maxima) == outcome(reference_maxima, spec)
+            for x in edge_points(a, b):
+                assert (outcome(spec.values_recursive, x)
+                        == outcome(reference_values_recursive, spec, x)), (alpha, a, b, x)
+                for order in (1, 2):
+                    assert (outcome(spec.derivatives, x, order)
+                            == outcome(reference_derivatives, spec, x, order)), (alpha, a, b, x)
+
+
+def test_one_point_references_reach_every_branch():
+    # the edge cases reach the DomainError guard and both signs of zero, so
+    # the comparison above is not vacuous
+    spec = spec_for(1, 2.0, -0.0, 3.0)
+    assert outcome(spec.values_recursive, 3.0 + 3e-6)[0] == "DomainError"
+    assert math.copysign(1.0, spec.maxima()[0].location) == 1.0
+    assert math.copysign(1.0, spec_for(2, 2.0, -1.5, -0.0).maxima()[-1].location) == -1.0

@@ -19,13 +19,19 @@ from alphabezier import (
     preset_polygon,
     reindexed,
 )
+import alphabezier.curve
 from alphabezier.curve import _HAUSDORFF_CHUNK
 from helpers import (
+    EDGE_ALPHAS,
+    EDGE_INTERVALS,
     any_alpha,
     circumradius,
+    edge_points,
     hull_violation,
     in_interval,
     intervals,
+    outcome,
+    reference_derivatives,
 )
 
 ALPHAS = (-1.0, 2.0, 5.0, INFINITY)
@@ -442,6 +448,71 @@ def test_curvature_in_three_dimensions():
     assert helixish.curvature(0.5) > 0.0
 
 
+def reference_curvature(curve, x):
+    """Two derivative calls, planar vectors padded with z = 0, and np.cross."""
+    if curve.polygon.dim not in (2, 3):
+        raise ArgumentError("curvature needs 2-D or 3-D control points")
+    v1 = reference_derivatives(curve.spec, x, 1) @ curve.polygon.points
+    v2 = reference_derivatives(curve.spec, x, 2) @ curve.polygon.points
+    if curve.polygon.dim == 2:
+        v1 = np.append(v1, 0.0)
+        v2 = np.append(v2, 0.0)
+    speed = float(np.linalg.norm(v1))
+    if speed <= 1e-12:
+        raise SingularPointError(f"first derivative vanishes at x={x!r}")
+    return float(np.linalg.norm(np.cross(v1, v2)) / speed**3)
+
+
+def _curvature_polygons(n, dim, rng):
+    """Random points; legs of zero length at either end or everywhere, which
+    make the curve singular there; huge points, whose derivatives overflow;
+    and huge interior points behind short end legs, whose second derivative
+    overflows near an index margin while the first stays finite."""
+    pts = rng.uniform(-5.0, 5.0, (n + 1, dim))
+    ends = pts.copy()
+    ends[1], ends[-2] = ends[0], ends[-1]
+    huge = rng.uniform(-1.0, 1.0, (n + 1, dim)) * 1.7e308
+    spiked = pts.copy()
+    spiked[2:-2] *= 1e299
+    return pts, ends, np.repeat(pts[:1], n + 1, axis=0), 1e-200 * pts, huge, spiked
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_curvature_matches_the_two_pass_version_bit_for_bit(n):
+    rng = np.random.default_rng([n, 5])
+    with np.errstate(all="ignore"):  # the huge polygons overflow in both versions
+        for alpha in EDGE_ALPHAS:
+            for a, b in EDGE_INTERVALS:
+                spec = BasisSpec(n, HomographyMap(a, b, alpha))
+                for dim in (1, 2, 3):
+                    polygons = _curvature_polygons(n, dim, rng)
+                    for pts in polygons[:1] if dim == 1 else polygons:  # 1-D always raises
+                        curve = BezierCurve(ControlPolygon(pts), spec)
+                        for x in edge_points(a, b):
+                            assert (outcome(curve.curvature, x)
+                                    == outcome(reference_curvature, curve, x)), (alpha, a, b, x)
+
+
+def test_curvature_references_reach_every_branch():
+    # the cases above raise both guards, overflow, and give NaN through the
+    # padded components of the planar cross product
+    spec = BasisSpec(3, HomographyMap(0.0, 1.0, 2.0))
+    line = BezierCurve(ControlPolygon([0.0, 1.0, 2.0, 4.0]), spec)
+    assert outcome(line.curvature, 0.5)[0] == "ArgumentError"
+    _, ends, _, tiny, _, _ = _curvature_polygons(3, 2, np.random.default_rng(0))
+    for pts, x in ((ends, 1.0), (tiny, 0.5)):
+        assert outcome(BezierCurve(ControlPolygon(pts), spec).curvature, x)[0] == "SingularPointError"
+    big = BezierCurve(ControlPolygon([(0.0, 0.0), (1e120, 0.0), (0.0, 1e120), (1.0, 0.0)]), spec)
+    assert outcome(big.curvature, 0.5)[0] == "OverflowError"  # speed**3
+    near_band = BasisSpec(3, HomographyMap(0.0, 1.0, 1.0 + 1e-9))
+    spiked = BezierCurve(ControlPolygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1e300), (1.0, 0.0)]),
+                         near_band)
+    with np.errstate(all="ignore"):
+        assert np.isfinite(spiked.derivative(0.0, 1)).all()
+        assert not np.isfinite(spiked.derivative(0.0, 2)).all()
+        assert np.isnan(spiked.curvature(0.0))  # |z| alone would give inf
+
+
 # --------------------------------------------------- index independence
 
 
@@ -601,7 +672,8 @@ def test_hausdorff_matches_brute_force_oracle(seed):
     a, b = _hausdorff_case(seed)
     assert hausdorff_distance(a, b) == reference_hausdorff(a, b)
     if seed % 6 != 5:  # the all-pairs oracle is slow on the long chains
-        assert hausdorff_distance(a[::-1], b) == reference_hausdorff(a[::-1], b)
+        for x, y in ((a[::-1], b), (a, b[::-1]), (a[::-1], b[::-1])):
+            assert hausdorff_distance(x, y) == reference_hausdorff(x, y)
 
 
 def test_hausdorff_of_a_long_path_matches_brute_force_oracle():
@@ -609,8 +681,27 @@ def test_hausdorff_of_a_long_path_matches_brute_force_oracle():
     curve = make_curve(preset_polygon("c"), -1.0)
     dense = curve.samples(np.linspace(0.0, 1.0, 9000))
     chain = np.vstack([p.points for p in curve.subdivide_recursive(3)])
-    assert hausdorff_distance(dense, chain) == reference_hausdorff(dense, chain)
-    assert hausdorff_distance(dense[::-1], chain) == reference_hausdorff(dense[::-1], chain)
+    for x, y in ((dense, chain), (dense[::-1], chain), (dense, chain[::-1]),
+                 (dense[::-1], chain[::-1])):
+        assert hausdorff_distance(x, y) == reference_hausdorff(x, y)
+
+
+def test_hausdorff_of_opposite_paths_keeps_tight_bounds(monkeypatch):
+    # a path that runs against the chain takes its arc-length guesses from the
+    # chain's far end, so it needs no more kernel passes than the forward pair
+    calls = []
+    kernel = alphabezier.curve._segment_d2
+    monkeypatch.setattr(alphabezier.curve, "_segment_d2",
+                        lambda *args: calls.append(1) or kernel(*args))
+    curve = make_curve(preset_polygon("c"), 2.0)
+    dense = curve.samples(np.linspace(0.0, 1.0, 3000))
+    chain = curve.samples(np.linspace(0.0, 1.0, 700))
+    counts = []
+    for x, y in ((dense, chain), (dense, chain[::-1]), (dense[::-1], chain)):
+        calls.clear()
+        hausdorff_distance(x, y)
+        counts.append(len(calls))
+    assert counts[1] <= counts[0] and counts[2] <= counts[0], counts
 
 
 def _farthest_point_behind_decoys():

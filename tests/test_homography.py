@@ -7,13 +7,18 @@ from hypothesis import strategies as st
 
 from alphabezier import INFINITY, ArgumentError, DomainError, HomographyMap, Side
 from helpers import (
+    EDGE_ALPHAS,
+    EDGE_INTERVALS,
     any_alpha,
     bisect_root,
     central_diff1,
     central_diff2,
+    edge_points,
     in_interval,
     intervals,
+    outcome,
     raw_w,
+    reference_w_derivatives,
     unit,
 )
 
@@ -180,6 +185,20 @@ def test_derivs_match_finite_differences():
                     assert abs(fd2) <= 1e-4 / (b - a)
                 else:
                     assert abs(fd2 - h.deriv2(x)) <= 1e-4 * abs(h.deriv2(x))
+
+
+def test_jet_matches_separate_calls_bit_for_bit():
+    # _jet is the one home of the w' and w'' formulas: it, deriv1 and deriv2
+    # give the bits the separate formulas gave, on floats and on arrays
+    for alpha in EDGE_ALPHAS:
+        for a, b in EDGE_INTERVALS:
+            h = HomographyMap(a, b, alpha)
+            points = edge_points(a, b)
+            for x in points + [np.array(points[:-1])]:
+                expected = outcome(lambda: (*h.weights(x), *reference_w_derivatives(h, x)))
+                assert outcome(h._jet, x) == expected, (alpha, a, b, x)
+                assert outcome(h.deriv1, x) == outcome(lambda: reference_w_derivatives(h, x)[0])
+                assert outcome(h.deriv2, x) == outcome(lambda: reference_w_derivatives(h, x)[1])
 
 
 def test_deriv2_pinpoint_example():
