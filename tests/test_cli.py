@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from alphabezier import make_curve, preset_polygon
-from alphabezier.basis import BasisSpec
+from alphabezier.approx import MAX_FIT_DEGREE
+from alphabezier.basis import MAX_DEGREE, BasisSpec
 from alphabezier.cli import (
     DISPATCH,
     FIT_TARGETS,
@@ -262,7 +263,7 @@ def test_grid_finer_than_float_spacing_exits_2_naming_samples(command, tmp_path,
     polygon = [] if command in ("basis", "fit") else ["--polygon", "a"]
     argv = ["--command", command, *polygon, "--interval=1e16,1.000000000000001e16",
             "--out", str(tmp_path / "x.csv")]
-    assert parse_config([*argv, "--samples", "2"]).samples == 2
+    assert len(parse_config([*argv, "--samples", "2"]).xs) == 2
     with pytest.raises(ValidationError) as info:
         parse_config([*argv, "--samples", "8"])
     assert info.value.field == "samples"
@@ -305,7 +306,7 @@ def test_depth_bound_is_the_curve_limit():
 def test_samples_bound():
     # checked before any grid is built, so an oversized value costs nothing
     argv = ["--command", "basis", "--out", "x.svg", "--samples"]
-    assert parse_config([*argv, str(MAX_SAMPLES)]).samples == MAX_SAMPLES
+    assert len(parse_config([*argv, str(MAX_SAMPLES)]).xs) == MAX_SAMPLES
     with pytest.raises(ValidationError) as info:
         parse_config([*argv, str(MAX_SAMPLES + 1)])
     assert info.value.field == "samples"
@@ -326,6 +327,45 @@ def test_control_points_beyond_the_limit_exit_2_naming_polygon(coordinate, tmp_p
     assert main(argv) == 2
     assert "polygon" in capsys.readouterr().err
     assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("token", ["<dir>", "", "objects.json", "deep.json"])
+def test_unreadable_polygon_inputs_exit_2_naming_polygon(token, tmp_path, monkeypatch, capsys):
+    # a directory, the empty path (it resolves to "."), a JSON list of objects,
+    # and JSON nested past the decoder's recursion limit
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "objects.json").write_text('[{"x": 1}]')
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    token = str(tmp_path) if token == "<dir>" else token
+    argv = ["--command", "curve", f"--polygon={token}", "--out", "x.svg"]
+    with pytest.raises(ValidationError) as info:
+        parse_config(argv)
+    assert info.value.field == "polygon"
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: polygon:")
+    assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--command", "basis", "--degree", str(MAX_DEGREE + 1)],
+    ["--command", "curve", "--polygon", "long.txt"],                # MAX_DEGREE + 2 points
+    ["--command", "fit", "--degree", str(MAX_FIT_DEGREE + 1)],
+])
+def test_degree_over_the_library_limit_exits_2_naming_degree(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "long.txt").write_text("".join(f"{k} {k % 3}\n" for k in range(MAX_DEGREE + 2)))
+    argv = [*args, "--out", "x.svg"]
+    with pytest.raises(ValidationError) as info:
+        parse_config(argv)
+    assert info.value.field == "degree"
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: degree:")
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_degree_at_the_library_limit_parses():
+    for command, cap in (("basis", MAX_DEGREE), ("fit", MAX_FIT_DEGREE)):
+        assert parse_config(["--command", command, "--degree", str(cap), "--out", "x"]).degree == cap
 
 
 @pytest.mark.parametrize("command", ["curve", "subdivide", "elevate"])
@@ -359,7 +399,7 @@ def test_fit_columns_match_per_row_oracle(target):
                                    "--interval=-1,2", "--target", target, "--samples", "77",
                                    "--out", "x.json"])
             result = cmd_fit(config)
-            spec = BasisSpec(degree, HomographyMap(-1.0, 2.0, config.alphas[0]))
+            spec = BasisSpec(degree, HomographyMap(-1.0, 2.0, config.maps[0].alpha))
             colloc, lsq = (poly[:, 0] for poly in result.polygons)
             xs = np.linspace(-1.0, 2.0, 77)
             expected = np.array([(f(x), row @ colloc, row @ lsq)
@@ -493,6 +533,6 @@ def test_output_budget_counts_the_result(job, tmp_path, monkeypatch):
     result = DISPATCH[config.command](config)
     written = (len(result.tables) * result.xs.size + sum(m.size for _, m in result.tables)
                + sum(poly.size for poly in result.polygons))
-    assert _output_numbers(config.command, config.degree, len(config.alphas), config.polygon,
-                           config.samples, config.depth) == written
+    assert _output_numbers(config.command, config.degree, len(config.maps), config.polygon,
+                           len(config.xs), config.depth) == written
     assert written <= MAX_OUTPUT_NUMBERS // 1000

@@ -3,7 +3,7 @@
 ``reference_json`` builds the nested payload and hands it to
 ``json.dumps(indent=2)``; ``reference_svg`` maps every point through the
 pixel closure on its own and formats it with ``svg._fmt``.  Both are kept
-verbatim as oracles: the template and per-column writers in ``cli`` and
+verbatim as oracles: the template and per-column writers in ``render`` and
 ``svg`` must give the same text, byte for byte.
 """
 
@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from alphabezier import svg
-from alphabezier.cli import DISPATCH, Result, parse_config, render_json, render_svg
+from alphabezier.cli import DISPATCH, parse_config
+from alphabezier.render import Result, render_json, render_svg
 
 # ------------------------------------------------------------ reference writers
 
