@@ -181,12 +181,13 @@ def elevation_residual(spec: BasisSpec, x: float) -> float:
 
     The identities relate degree-n and degree-(n+1) values:
     (1 - w) * B_i of degree n equals (n+1-i)/(n+1) times B_i of degree n+1,
-    and w * B_i equals (i+1)/(n+1) times B_{i+1} of degree n+1.
+    and w * B_i equals (i+1)/(n+1) times B_{i+1} of degree n+1.  Both rows
+    come from the one weight pair (w, 1 - w) at x.
     """
     n = spec.degree
     w, u = spec.homography.weights(x)
-    lo = spec.values(x)
-    hi = spec.raised().values(x)
+    lo = _bernstein(n, w, u)
+    hi = _bernstein(n + 1, w, u)
     i = np.arange(n + 1)
     down = np.abs(u * lo - (n + 1.0 - i) / (n + 1.0) * hi[:-1])
     up = np.abs(w * lo - (i + 1.0) / (n + 1.0) * hi[1:])

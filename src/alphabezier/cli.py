@@ -9,16 +9,20 @@ computes one Result record from them: the sample grid, a sample matrix per
 basis index, the polygons and any fit results.  main hands that record to
 the renderer of the requested format (``render.RENDERERS``) and writes the
 text once; only selftest writes its own JSON report.  Identical
-configurations produce byte-identical files.  Exit codes: 0 success, 2
+configurations produce byte-identical files.  An output file is rewritten
+in place: it is complete once the command exits 0, and a job that fails
+while writing may leave a partial file.  Exit codes: 0 success, 2
 validation failure, 1 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -123,7 +127,10 @@ def _load_polygon(token: str) -> tuple[ControlPolygon, str]:
     return polygon, f"file:{token}"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every job and
+    thread: parsing keeps no state in it, and nothing may add to it."""
     parser = argparse.ArgumentParser(
         prog="alphabezier",
         description="Rational Bernstein bases and Bezier curve tools.",
@@ -380,8 +387,14 @@ def _write_text(out: Path | None, text: str) -> None:
         sys.stdout.write(text)
         return
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="\n") as fh:
-        fh.write(text)
+    data = text.encode()
+    # no O_TRUNC: on ext4 a file truncated to zero and rewritten has its
+    # blocks flushed at close, which costs several times the write itself
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fd).st_mode):  # not /dev/null, a pipe or a FIFO
+            fh.truncate(len(data))
 
 
 DISPATCH = {

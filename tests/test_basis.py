@@ -18,6 +18,7 @@ from alphabezier import (
     is_nonsingular,
     peak_value,
 )
+from alphabezier.basis import MAX_DEGREE
 from helpers import (
     EDGE_ALPHAS,
     EDGE_INTERVALS,
@@ -371,6 +372,25 @@ def reference_elevation_residual(spec, x):
         worst = max(worst, abs(u * lo[i] - (n + 1.0 - i) / (n + 1.0) * hi[i]))
         worst = max(worst, abs(w * lo[i] - (i + 1.0) / (n + 1.0) * hi[i + 1]))
     return worst
+
+
+@pytest.mark.parametrize("n", range(MAX_DEGREE))
+def test_elevation_residual_matches_the_two_spec_reference(n):
+    # one weight pair feeds both degrees: the same bits as the values of the
+    # spec and of its raised() spec, up to the ends and the index margins
+    for alpha in (*ORACLE_ALPHAS, -1e-9, 1.0 + 1e-9):
+        for a, b in ((0.0, 1.0), (-2.5, 4.0)):
+            spec = spec_for(n, alpha, a, b)
+            for x in (a, b, a + 0.3 * (b - a)):
+                assert elevation_residual(spec, x) == reference_elevation_residual(spec, x)
+
+
+def test_elevation_residual_at_the_degree_limit():
+    # the raised degree lies beyond BasisSpec's cap, so no raised spec is built
+    for alpha in (*ORACLE_ALPHAS, -1e-9, 1.0 + 1e-9):
+        spec = spec_for(MAX_DEGREE, alpha)
+        assert elevation_residual(spec, 0.0) == elevation_residual(spec, 1.0) == 0.0
+        assert elevation_residual(spec, 0.3) <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(21))

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -418,6 +420,66 @@ def test_unwritable_out_exits_1(tmp_path):
     assert code == 1
 
 
+LONG_CSV_JOB = ["--command", "basis", "--degree", "6", "--samples", "200", "--format", "csv"]
+SHORT_CSV_JOB = ["--command", "curve", "--polygon", "g", "--samples", "5", "--format", "csv"]
+
+
+def test_rewrite_leaves_no_stale_tail(tmp_path):
+    # the output is written in place and cut to the new length
+    fresh, out = tmp_path / "fresh.csv", tmp_path / "out.csv"
+    assert main([*SHORT_CSV_JOB, "--out", str(fresh)]) == 0
+    assert main([*LONG_CSV_JOB, "--out", str(out)]) == 0
+    assert out.stat().st_size > 4 * fresh.stat().st_size
+    assert main([*SHORT_CSV_JOB, "--out", str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink") or sys.platform == "win32",
+                    reason="symlinks need privileges on Windows")
+def test_symlinked_out_writes_through_to_its_target(tmp_path):
+    fresh, target, link = tmp_path / "fresh.csv", tmp_path / "target.csv", tmp_path / "link.csv"
+    assert main([*SHORT_CSV_JOB, "--out", str(fresh)]) == 0
+    assert main([*LONG_CSV_JOB, "--out", str(target)]) == 0
+    link.symlink_to(target)
+    assert main([*SHORT_CSV_JOB, "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_devnull_out_exits_0():
+    # a character device is written but never truncated
+    assert main([*SHORT_CSV_JOB, "--out", os.devnull]) == 0
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX permission bits")
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_new_out_mode_follows_the_umask(umask, tmp_path):
+    out = tmp_path / "new.csv"
+    old = os.umask(umask)
+    try:
+        assert main([*SHORT_CSV_JOB, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+@pytest.mark.skipif(sys.platform == "win32" or os.geteuid() == 0,
+                    reason="POSIX permission bits, which root bypasses")
+def test_read_only_out_exits_1(tmp_path, capsys):
+    out = tmp_path / "read-only.csv"
+    out.write_text("kept\n")
+    out.chmod(0o444)
+    assert main([*SHORT_CSV_JOB, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("internal error:")
+    assert out.read_text() == "kept\n"
+
+
+def test_missing_out_directories_are_created(tmp_path):
+    out = tmp_path / "a" / "b" / "out.csv"
+    assert main([*SHORT_CSV_JOB, "--out", str(out)]) == 0
+    assert out.is_file()
+
+
 def test_console_script_runs(tmp_path):
     out = tmp_path / "script.csv"
     proc = subprocess.run(
@@ -504,6 +566,63 @@ def test_output_bytes_match_golden_digest(key, tmp_path, monkeypatch):
     assert main([*GOLDEN_JOBS[job], "--format", fmt, "--out", f"out.{fmt}"]) == 0
     digest = hashlib.sha256((tmp_path / f"out.{fmt}").read_bytes()).hexdigest()
     assert digest == GOLDEN_DIGESTS[key]
+
+
+def _golden_digests(tmp_path, keys, prefix=""):
+    """Run the golden jobs ``keys`` in order; the sha256 of each job's file by key."""
+    digests = {}
+    for key in keys:
+        job, fmt = key.rsplit(".", 1)
+        out = f"{prefix}{key}"
+        assert main([*GOLDEN_JOBS[job], "--format", fmt, "--out", out]) == 0
+        digests[key] = hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
+    return digests
+
+
+@pytest.fixture
+def golden_dir(tmp_path, monkeypatch):
+    """tmp_path as the working directory, holding the golden polygon files."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("ALPHABEZIER_SEED", "4711")
+    for name, text in GOLDEN_POLYGONS.items():
+        (tmp_path / name).write_text(text)
+    return tmp_path
+
+
+def test_reused_parser_leaks_no_state(golden_dir, capsys):
+    assert build_parser() is build_parser()
+    keys = sorted(GOLDEN_DIGESTS)
+    assert _golden_digests(golden_dir, keys) == GOLDEN_DIGESTS
+    # a job that fails validation, then one argparse rejects
+    assert main(["--command", "curve", "--polygon", "zz", "--out", "x.svg"]) == 2
+    with pytest.raises(SystemExit) as info:
+        main(["--command", "curve", "--depth", "deep", "--out", "x.svg"])
+    assert info.value.code == 2
+    assert "invalid int value: 'deep'" in capsys.readouterr().err
+    assert _golden_digests(golden_dir, keys[::-1]) == GOLDEN_DIGESTS
+
+
+def test_threads_share_the_parser(golden_dir):
+    # the library is safe to share between threads, the CLI's parser included
+    keys = sorted(GOLDEN_DIGESTS)
+    results = [None] * 4
+
+    def work(k):  # each thread starts at another job and writes its own files
+        order = keys[8 * k:] + keys[:8 * k]
+        results[k] = _golden_digests(golden_dir, order, prefix=f"t{k}-")
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [GOLDEN_DIGESTS] * 4
 
 
 def test_output_budget_is_checked_before_compute(tmp_path):
