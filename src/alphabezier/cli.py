@@ -290,7 +290,7 @@ def cmd_curve(config: JobConfig) -> Result:
 
 
 def cmd_subdivide(config: JobConfig) -> Result:
-    return _curve_result(config, lambda curve: list(curve._subdivision_stack(config.depth)))
+    return _curve_result(config, lambda curve: list(curve.subdivision_stack(config.depth)))
 
 
 def cmd_elevate(config: JobConfig) -> Result:

@@ -6,7 +6,10 @@ curvature and affine maps all follow the classical algorithms with the
 basis weight w(x) supplied by the homography.  Subdividing at c yields two
 curves of the same degree whose polygons are the first column and the
 anti-diagonal of one tableau; both children are parametrized over the full
-original interval through the split reparametrizations.
+original interval through the split reparametrizations.  One batched
+recursion, ``DeCasteljauTableau.at``, builds the tableau, the point, the
+split and the subdivision stack; its arrays put the point index first, the
+coordinates last, and independent polygons on the axes in between.
 """
 
 from __future__ import annotations
@@ -77,9 +80,21 @@ class ControlPolygon:
 
 @dataclass(frozen=True)
 class DeCasteljauTableau:
-    """Triangular array of repeated w-weighted interpolations at one parameter."""
+    """Triangular array of repeated w-weighted interpolations at one parameter.
+
+    Level j is an (n+1-j, ..., d) array: n+1-j points on the first axis, the
+    coordinates on the last, and independent polygons on the axes between.
+    """
 
     levels: tuple
+
+    @classmethod
+    def at(cls, points: np.ndarray, w, u) -> "DeCasteljauTableau":
+        """All levels of ``points`` at the weights (w, u); level 0 is ``points`` itself."""
+        levels = [points]
+        for _ in range(len(points) - 1):
+            levels.append(w * levels[-1][1:] + u * levels[-1][:-1])
+        return cls(tuple(levels))
 
     @property
     def apex(self) -> np.ndarray:
@@ -88,12 +103,11 @@ class DeCasteljauTableau:
 
     def left_points(self) -> np.ndarray:
         """First point of every level; the left child polygon of a subdivision."""
-        return np.array([lvl[0] for lvl in self.levels])
+        return np.stack([lvl[0] for lvl in self.levels], axis=-2)
 
     def right_points(self) -> np.ndarray:
         """Anti-diagonal of the tableau; the right child polygon of a subdivision."""
-        n = len(self.levels) - 1
-        return np.array([self.levels[n - i][i] for i in range(n + 1)])
+        return np.stack([lvl[-1] for lvl in reversed(self.levels)], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -164,13 +178,7 @@ class BezierCurve:
 
     def tableau(self, x: float) -> DeCasteljauTableau:
         """All interpolation levels at x; level 0 is the control polygon."""
-        w, u = self.homography.weights(x)
-        levels = [self.polygon.points]
-        cur = self.polygon.points
-        for _ in range(self.spec.degree):
-            cur = w * cur[1:] + u * cur[:-1]
-            levels.append(cur)
-        return DeCasteljauTableau(tuple(levels))
+        return DeCasteljauTableau.at(self.polygon.points, *self.homography.weights(x))
 
     def decasteljau(self, x: float) -> tuple[np.ndarray, DeCasteljauTableau]:
         """Curve point at x via repeated interpolation, plus the full tableau."""
@@ -206,11 +214,11 @@ class BezierCurve:
         right = BezierCurve(ControlPolygon(tab.right_points()), self.spec)
         return SubdivisionResult(left, right, float(c))
 
-    def _subdivision_stack(self, depth: int) -> np.ndarray:
+    def subdivision_stack(self, depth: int) -> np.ndarray:
         """The polygons of ``subdivide_recursive`` as one read-only (2**depth, n+1, d) array.
 
         The work goes level by level: all 2**j polygons of level j sit in
-        one array, and one vectorized tableau splits them all, with the
+        one array, and one batched tableau splits them all, with the
         arithmetic of ``subdivide`` applied elementwise.  The finished
         stack is checked for finiteness once, since a split can overflow.
         """
@@ -223,18 +231,11 @@ class BezierCurve:
         c = 0.5 * (self.a + self.b)
         self._check_split(c)
         w, u = self.homography.weights(c)
-        n, d = self.spec.degree, self.polygon.dim
         polys = self.polygon.points[None]
         for _ in range(depth):
-            cur = polys
-            left, right = [cur[:, 0]], [cur[:, -1]]
-            for _ in range(n):
-                cur = w * cur[:, 1:] + u * cur[:, :-1]
-                left.append(cur[:, 0])
-                right.append(cur[:, -1])
-            # left child: first point of each level; right child: the anti-diagonal
-            halves = np.stack([np.stack(left, axis=1), np.stack(right[::-1], axis=1)], axis=1)
-            polys = halves.reshape(-1, n + 1, d)
+            tab = DeCasteljauTableau.at(polys.swapaxes(0, 1), w, u)
+            halves = np.stack([tab.left_points(), tab.right_points()], axis=1)
+            polys = halves.reshape(-1, *polys.shape[1:])
         if not np.isfinite(polys).all():
             raise ArgumentError("control points must be finite")
         halves.flags.writeable = polys.flags.writeable = False  # the stack and its owner
@@ -245,13 +246,11 @@ class BezierCurve:
 
         Every child keeps the parent's spec, so each split uses the same
         weight w at the midpoint.  All pieces are computed as one checked,
-        read-only stack (see ``_subdivision_stack``); each returned polygon
+        read-only stack (see ``subdivision_stack``); each returned polygon
         is a view of one row of it, not a copy.
         """
-        stack = self._subdivision_stack(depth)
-        if depth == 0:
-            return [self.polygon]
-        return [ControlPolygon._view(row) for row in stack]
+        stack = self.subdivision_stack(depth)
+        return [ControlPolygon._view(row) for row in stack] if depth else [self.polygon]
 
     def endpoint_tangents(self) -> EndpointTangents:
         """Derivative vectors at a and b; positive multiples of the end legs."""
@@ -524,6 +523,9 @@ def hausdorff_distance(path_a, path_b) -> float:
     """
     a = np.atleast_2d(np.asarray(path_a, dtype=float))
     b = np.atleast_2d(np.asarray(path_b, dtype=float))
+    for name, path in (("path_a", a), ("path_b", b)):
+        if path.size == 0:
+            raise ArgumentError(f"{name} has no points")
     if a.shape[1] != b.shape[1]:
         raise ArgumentError(f"paths have point dimensions {a.shape[1]} and {b.shape[1]}")
     return float(max(np.sqrt(_max_min_d2(a, b)), np.sqrt(_max_min_d2(b, a))))

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from alphabezier import INFINITY, BasisSpec
+from alphabezier import INFINITY, BasisSpec, BezierCurve, ControlPolygon, DomainError
 
 # ------------------------------------------------------------ strategies
 
@@ -304,3 +304,45 @@ def reference_derivatives(spec, x, order: int) -> np.ndarray:
     if order == 1:
         return g1 * (n * w1)
     return reference_differenced(spec, x, 2) * (n * (n - 1) * w1 * w1) + g1 * (n * w2)
+
+
+# The deCasteljau recursion as it stood before the batched kernel: a list of
+# levels, children gathered point by point, and a depth-first recursion of
+# single splits.  Only ``weights`` is the library's.
+
+
+def reference_tableau(curve, x) -> list:
+    """The interpolation levels at x, one array each; level 0 is the polygon."""
+    w, u = curve.homography.weights(x)
+    levels = [curve.polygon.points]
+    for _ in range(curve.spec.degree):
+        cur = levels[-1]
+        levels.append(w * cur[1:] + u * cur[:-1])
+    return levels
+
+
+def reference_children(curve, c) -> tuple:
+    """The child polygons' points at c: the first point of each level and the anti-diagonal."""
+    levels = reference_tableau(curve, c)
+    n = len(levels) - 1
+    return (np.array([lvl[0] for lvl in levels]),
+            np.array([levels[n - i][i] for i in range(n + 1)]))
+
+
+def reference_subdivide_recursive(curve, depth) -> list:
+    """Polygons of depth rounds of midpoint splits, depth first, in curve order."""
+    if depth == 0:
+        return [curve.polygon]
+    c = 0.5 * (curve.a + curve.b)
+    if not curve.a < c < curve.b:
+        raise DomainError(f"no interior midpoint in ({curve.a}, {curve.b})")
+    pieces = []
+    for pts in reference_children(curve, c):
+        child = BezierCurve(ControlPolygon(pts), curve.spec)
+        pieces += reference_subdivide_recursive(child, depth - 1)
+    return pieces
+
+
+def reference_subdivision_stack(curve, depth) -> np.ndarray:
+    """The pieces of ``reference_subdivide_recursive`` stacked into one array."""
+    return np.stack([p.points for p in reference_subdivide_recursive(curve, depth)])
