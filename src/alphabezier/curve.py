@@ -347,24 +347,29 @@ def index_invariance(curve: BezierCurve, other: BezierCurve,
     return CorrespondenceReport(float(dist.max(initial=0.0)), xs, ys)
 
 
+def _path(points, name: str) -> np.ndarray:
+    """(n, d) float points; a 1-D input is a column of 1-D points, as for ``ControlPolygon``."""
+    pts = np.asarray(points, dtype=float)
+    pts = pts.reshape(-1, 1) if pts.ndim < 2 else pts
+    if pts.size == 0:
+        raise ArgumentError(f"{name} has no points")
+    return pts
+
+
 def densify_polyline(points, per_edge: int = 8) -> np.ndarray:
     """Points along a polyline, per_edge per segment plus the final vertex."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if per_edge < 1:
-        raise ArgumentError("per_edge must be at least 1")
+    if not isinstance(per_edge, (int, np.integer)) or isinstance(per_edge, bool) or per_edge < 1:
+        raise ArgumentError(f"per_edge must be a positive integer, got {per_edge!r}")
+    pts = _path(points, "points")
     ts = (np.arange(per_edge) / per_edge)[:, None]
     rows = (1.0 - ts) * pts[:-1, None] + ts * pts[1:, None]
     return np.vstack([rows.reshape(-1, pts.shape[1]), pts[-1:]])
 
 
-#: Segments searched on each side of a point's arc-length guess for its bound.
-_HAUSDORFF_WINDOW = 4
 #: Points per exact pass.
 _HAUSDORFF_BLOCK = 32
 #: Consecutive segments that share one bounding box in the exact pass.
 _HAUSDORFF_CHUNK = 32
-#: Points per windowed bound pass.
-_HAUSDORFF_BOUND_ROWS = 4096
 #: Pruning needs every squared distance finite; below this magnitude no
 #: product or square in the segment kernel can overflow.
 _HAUSDORFF_PRUNE_LIMIT = 1e150
@@ -394,10 +399,30 @@ def _segment_d2(p, v0, dv, len2, work):
     return d2
 
 
-def _arc_fractions(path: np.ndarray) -> np.ndarray:
-    """Cumulative arc length at each vertex, as a fraction of the total."""
-    cum = np.concatenate([[0.0], np.cumsum(np.sqrt(((path[1:] - path[:-1]) ** 2).sum(-1)))])
-    return cum / (cum[-1] or 1.0)
+def _path_tables(path: np.ndarray, pruned: bool) -> tuple:
+    """One path's tables, built once for both directions of ``hausdorff_distance``.
+
+    The path, its points as (d, n) and a packed (2d+1, n-1) segment table
+    of rows v0, dv and len2, a zero length read as 1 so that a duplicate
+    vertex acts as a point.  When ``pruned``, also each vertex's arc-length
+    fraction and the box corners of every ``_HAUSDORFF_CHUNK`` segments.
+    """
+    pt = path.T.copy()
+    d, n = pt.shape
+    table = np.concatenate([pt[:, :-1], np.diff(pt, axis=1), np.empty((1, n - 1))])
+    v0, dv, len2 = table[:d], table[d:-1], table[-1]
+    np.square(dv).sum(axis=0, out=len2)
+    fraction = lo = hi = None
+    if pruned:
+        fraction = np.zeros(n)
+        np.cumsum(np.sqrt(len2), out=fraction[1:])
+        fraction /= fraction[-1] or 1.0
+        starts = np.arange(0, n - 1, _HAUSDORFF_CHUNK)  # a box spans its chunk's end vertex too
+        ends = pt[:, np.minimum(starts + _HAUSDORFF_CHUNK, n - 1)]
+        lo = np.minimum(np.minimum.reduceat(v0, starts, axis=1), ends)
+        hi = np.maximum(np.maximum.reduceat(v0, starts, axis=1), ends)
+    len2[len2 == 0.0] = 1.0
+    return path, pt, table, fraction, lo, hi
 
 
 def _cull_margin(scale: float) -> float:
@@ -421,111 +446,86 @@ def _cull_margin(scale: float) -> float:
     return 2.0**-40 * max(scale, 2.0**-400)
 
 
-def _max_min_d2(points: np.ndarray, vertices: np.ndarray) -> float:
-    """Largest over points of the squared distance to the nearest segment of a chain.
+def _exact_block(p, bound, margin, chain: tuple, work) -> float:
+    """Largest over the points p, (d, r), of the squared distance to the chain.
 
-    Each point first gets an upper bound: its minimum over a window of
-    segments around the one at the same arc-length fraction, counted from
-    the end of the chain when the first point lies nearer the chain's last
-    vertex than its first, so that a reversed path keeps tight bounds.
-    Points are then checked exactly, in blocks, in decreasing order of
-    their bound, until the next bound cannot beat the running maximum.
-    Skipped points cannot raise it, because a point's exact minimum never
-    exceeds its bound.
-
-    The exact pass culls by boxes.  The segments are grouped in chunks of
-    ``_HAUSDORFF_CHUNK`` consecutive ones, each with one axis-aligned
-    bounding box.  A point is checked only against the segments of the
-    chunks whose box lies within its bound plus a rounding margin (see
-    ``_cull_margin``): no segment of another chunk can be its nearest.
-    Each surviving pair is evaluated with unchanged arithmetic, and a
-    minimum does not depend on the order, so the result equals the
-    all-pairs evaluation bit for bit.  Inputs with NaN, inf or a
-    coordinate of magnitude ``_HAUSDORFF_PRUNE_LIMIT`` or more have no
-    usable bounds; there every point is checked against every segment.
+    With a ``margin``, each point meets only the segments, taken from the
+    packed table, of the chunks within its bound plus the margin.
     """
+    _, _, table, _, lo, hi = chain
+    d, q = len(p), p[:, :, None]
+    if margin is not None:
+        gap = np.maximum(np.maximum(lo[:, None] - q, q - hi[:, None]), 0.0)
+        hit, chunk = np.nonzero((gap * gap).sum(0) <= ((np.sqrt(bound) + margin) ** 2)[:, None])
+    if margin is None or 2 * len(hit) > gap[0].size:  # gathering would cost more than it saves
+        d2 = _segment_d2(q, table[:d, None], table[d:-1, None], table[-1], work)
+        return d2.min(axis=1).max()
+    segs = chunk[:, None] * _HAUSDORFF_CHUNK + np.arange(_HAUSDORFF_CHUNK)
+    near = table.take(np.minimum(segs, table.shape[1] - 1), axis=1)  # pads a short last chunk
+    d2 = _segment_d2(p.take(hit, axis=1)[:, :, None], near[:d], near[d:-1], near[-1], work)
+    mins = np.full(len(bound), np.inf)
+    np.minimum.at(mins, hit, d2.min(axis=1))
+    return mins.max()
+
+
+def _max_min_d2(source: tuple, chain: tuple, margin, work) -> float:
+    """Largest over the points of one path of the squared distance to another.
+
+    Both paths come as ``_path_tables``.  Each point is bounded by its
+    distance to the one chain segment at its arc-length fraction, counted
+    from the chain's end when the path's first point lies nearer the
+    chain's last vertex, so that a reversed path keeps tight bounds.  The
+    ``_HAUSDORFF_BLOCK`` largest bounds, found by partial selection, are
+    checked exactly first; then, sorted, the points whose bound still
+    beats the running maximum, which a point's exact minimum never
+    exceeds.  The exact pass culls chunks by box (see ``_cull_margin``) and
+    keeps every pair's arithmetic, so the result equals the all-pairs
+    evaluation bit for bit.  A ``margin`` of None marks NaN, inf or
+    magnitudes of ``_HAUSDORFF_PRUNE_LIMIT`` or more: every pair is checked.
+    """
+    points, pt, _, fraction, _, _ = source
+    vertices, _, table, chain_fraction, _, _ = chain
     if len(vertices) == 1:
         return ((points - vertices[0]) ** 2).sum(-1).max()
-    v0 = vertices[:-1]
-    dv = vertices[1:] - v0
-    len2 = (dv**2).sum(-1)
-    len2 = np.where(len2 == 0.0, 1.0, len2)  # duplicate vertices act as points
-    pt, v0, dv = points.T.copy(), v0.T.copy(), dv.T.copy()
-    nseg = len(len2)
-    size = _HAUSDORFF_CHUNK
-    chunks = -(-nseg // size)
-    bound_rows = min(len(points), _HAUSDORFF_BOUND_ROWS)
-    work = np.empty(3 * max(_HAUSDORFF_BLOCK * chunks * size,
-                            bound_rows * (2 * _HAUSDORFF_WINDOW + 1)))
-    scale = np.maximum(np.abs(points).max(), np.abs(vertices).max())  # NaN propagates
-    best = -np.inf
-    if not scale < _HAUSDORFF_PRUNE_LIMIT:  # NaN, inf or overflow: check every pair
-        for start in range(0, len(points), _HAUSDORFF_BLOCK):
-            rows = slice(start, start + _HAUSDORFF_BLOCK)
-            d2 = _segment_d2(pt[:, rows, None], v0[:, None], dv[:, None], len2, work)
-            best = np.maximum(best, d2.min(axis=1).max())
-        return best
-
-    fraction = _arc_fractions(points)
+    d, block = len(pt), _HAUSDORFF_BLOCK
+    if margin is None:  # NaN, inf or overflow: check every pair
+        return np.max([_exact_block(pt[:, i : i + block], None, None, chain, work)
+                       for i in range(0, len(points), block)])
     start = points[0].tolist()
     if math.dist(start, vertices[-1].tolist()) < math.dist(start, vertices[0].tolist()):
         fraction = 1.0 - fraction  # the paths run opposite ways
-    guess = np.searchsorted(_arc_fractions(vertices), fraction, side="right") - 1
-    offsets = np.arange(-_HAUSDORFF_WINDOW, _HAUSDORFF_WINDOW + 1)
-    bound = np.empty(len(points))
-    for start in range(0, len(points), bound_rows):
-        rows = slice(start, start + bound_rows)
-        window = np.clip(guess[rows, None] + offsets, 0, nseg - 1)
-        bound[rows] = _segment_d2(pt[:, rows, None], v0.take(window, axis=1),
-                                  dv.take(window, axis=1), len2[window], work).min(axis=1)
-    limit = (np.sqrt(bound) + _cull_margin(scale)) ** 2
-
-    # chunk j holds segments jC .. jC+C-1; the last one is padded with copies
-    # of the final segment, which repeat its distance and leave its box alone
-    seg = np.minimum(np.arange(chunks * size), nseg - 1)
-    v0c = v0[:, seg].reshape(-1, chunks, size)
-    dvc = dv[:, seg].reshape(-1, chunks, size)
-    len2c = len2[seg].reshape(chunks, size)
-    ends = vertices[np.minimum(np.arange(1, chunks + 1) * size, nseg)].T  # each chunk's last vertex
-    lo = np.minimum(v0c.min(axis=2), ends)[:, None]
-    hi = np.maximum(v0c.max(axis=2), ends)[:, None]
-
-    order = np.argsort(-bound, kind="stable")
-    for start in range(0, len(points), _HAUSDORFF_BLOCK):
-        rows = order[start : start + _HAUSDORFF_BLOCK]
+    near = table.take(np.searchsorted(chain_fraction[:-1], fraction, side="right") - 1, axis=1)
+    bound = _segment_d2(pt, near[:d], near[d:-1], near[-1], work).copy()
+    rows = np.argpartition(-bound, min(block, len(bound)) - 1)[:block]
+    best = _exact_block(pt.take(rows, axis=1), bound[rows], margin, chain, work)
+    bound[rows] = -np.inf
+    rest = np.flatnonzero(bound > best)
+    order = rest[np.argsort(-bound[rest], kind="stable")]
+    for i in range(0, len(order), block):
+        rows = order[i : i + block]
         if bound[rows[0]] <= best:
             break
-        p = pt[:, rows, None]
-        gap = np.maximum(np.maximum(lo - p, p - hi), 0.0)
-        hit, chunk = np.nonzero((gap * gap).sum(axis=0) <= limit[rows, None])
-        if 2 * len(hit) > gap[0].size:  # most chunks survive: gathering costs more than it saves
-            mins = _segment_d2(p, v0[:, None], dv[:, None], len2, work).min(axis=1)
-        else:
-            d2 = _segment_d2(pt[:, rows[hit], None], v0c[:, chunk], dvc[:, chunk],
-                             len2c[chunk], work)
-            mins = np.full(len(rows), np.inf)
-            np.minimum.at(mins, hit, d2.min(axis=1))
-        best = np.maximum(best, mins.max())
+        best = max(best, _exact_block(pt.take(rows, axis=1), bound[rows], margin, chain, work))
     return best
 
 
 def hausdorff_distance(path_a, path_b) -> float:
     """Largest distance from a vertex of either polyline to the other polyline.
 
-    The exact maximum of the vertex-to-polyline distances, taken both
-    ways.  A deviation peaking strictly between the vertices of a path is
-    not probed, so sample densely.  A pruned search finds the maximum
-    without checking every vertex against every segment: vertices whose
-    bound cannot raise the maximum are skipped, and the others skip every
-    chunk of segments whose bounding box lies beyond their bound (see
-    ``_max_min_d2``).  Its result equals the brute-force all-pairs
-    evaluation bit for bit.
+    The exact maximum of the vertex-to-polyline distances, taken both ways;
+    a 1-D input is a column of 1-D points.  A deviation peaking strictly
+    between vertices is not probed, so sample densely.  Each path's tables
+    serve both directions, each vertex is bounded by one segment, and only
+    the vertices whose bound can raise the maximum meet the segments of
+    nearby chunks (see ``_max_min_d2``): the result equals the brute-force
+    all-pairs evaluation bit for bit.
     """
-    a = np.atleast_2d(np.asarray(path_a, dtype=float))
-    b = np.atleast_2d(np.asarray(path_b, dtype=float))
-    for name, path in (("path_a", a), ("path_b", b)):
-        if path.size == 0:
-            raise ArgumentError(f"{name} has no points")
+    a, b = _path(path_a, "path_a"), _path(path_b, "path_b")
     if a.shape[1] != b.shape[1]:
         raise ArgumentError(f"paths have point dimensions {a.shape[1]} and {b.shape[1]}")
-    return float(max(np.sqrt(_max_min_d2(a, b)), np.sqrt(_max_min_d2(b, a))))
+    scale = np.maximum(np.abs(a).max(), np.abs(b).max())  # NaN propagates
+    margin = _cull_margin(scale) if scale < _HAUSDORFF_PRUNE_LIMIT else None
+    ta, tb = _path_tables(a, margin is not None), _path_tables(b, margin is not None)
+    work = np.empty(3 * _HAUSDORFF_BLOCK * (max(len(a), len(b)) + _HAUSDORFF_CHUNK))
+    return float(max(np.sqrt(_max_min_d2(ta, tb, margin, work)),
+                     np.sqrt(_max_min_d2(tb, ta, margin, work))))

@@ -719,6 +719,31 @@ def test_densify_matches_per_row_oracle():
         densify_polyline(chains[0], 0)
 
 
+def test_densify_rejects_a_count_that_is_not_an_integer():
+    chain = [(0.0, 0.0), (3.0, 0.0)]
+    for per_edge in (1.5, 2.0, True, "2", None):
+        with pytest.raises(ArgumentError, match="per_edge must be a positive integer"):
+            densify_polyline(chain, per_edge)
+    assert np.array_equal(densify_polyline(chain, np.int64(3)), densify_polyline(chain, 3))
+
+
+def test_densify_rejects_a_path_without_points():
+    for points in ([], np.zeros((0, 2)), np.zeros(0)):
+        with pytest.raises(ArgumentError, match="^points has no points$"):
+            densify_polyline(points, 2)
+
+
+def test_one_dimensional_input_is_a_column_of_points():
+    # as for ControlPolygon, a flat list holds 1-D points, not one point
+    assert densify_polyline([0, 1, 2], 2).tolist() == [[0.0], [0.5], [1.0], [1.5], [2.0]]
+    assert hausdorff_distance([0, 1, 2], [0, 1]) == 1.0
+    assert hausdorff_distance([0, 1, 2], [[0], [1]]) == 1.0
+    assert hausdorff_distance(5.0, [1.0, 2.0]) == 4.0
+    a, b = [0.0, 3.0, 1.0, 4.0], [2.0, -1.0, 0.5]
+    assert hausdorff_distance(a, b) == reference_hausdorff(a, b) == 2.0
+    assert np.array_equal(densify_polyline(a, 3), reference_densify(a, 3))
+
+
 def test_hausdorff_of_shifted_segments():
     a = [(0.0, 0.0), (1.0, 0.0)]
     b = [(0.0, 1.0), (1.0, 1.0)]
@@ -770,7 +795,9 @@ def test_hausdorff_matches_brute_force_oracle(seed):
 
 
 def test_hausdorff_of_a_long_path_matches_brute_force_oracle():
-    # more points than one windowed bound pass takes
+    # 9000 samples against a 32-vertex chain, both ways and both orientations:
+    # most samples are skipped on their bounds, and every chain vertex sees
+    # hundreds of chunks of sample segments
     curve = make_curve(preset_polygon("c"), -1.0)
     dense = curve.samples(np.linspace(0.0, 1.0, 9000))
     chain = curve.subdivision_stack(3).reshape(-1, 2)
@@ -795,6 +822,86 @@ def test_hausdorff_of_opposite_paths_keeps_tight_bounds(monkeypatch):
         hausdorff_distance(x, y)
         counts.append(len(calls))
     assert counts[1] <= counts[0] and counts[2] <= counts[0], counts
+
+
+def test_hausdorff_takes_one_bound_and_one_exact_block_per_direction(monkeypatch):
+    # the geometry benchmark's inputs: every preset and index, the chain at
+    # depths 6-9 densified twice against 512 curve samples, in both orders;
+    # each direction needs one bound pass and one exact block, no more
+    calls, per_direction = [], []
+    kernel, search = alphabezier.curve._segment_d2, alphabezier.curve._max_min_d2
+
+    def counted_search(*args):
+        before = len(calls)
+        result = search(*args)
+        per_direction.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(alphabezier.curve, "_segment_d2",
+                        lambda *args: calls.append(1) or kernel(*args))
+    monkeypatch.setattr(alphabezier.curve, "_max_min_d2", counted_search)
+    for name in "abcdefghi":
+        for alpha in ALPHAS:
+            curve = make_curve(preset_polygon(name), alpha)
+            dense = curve.samples(np.linspace(0.0, 1.0, 512))
+            for depth in (6, 7, 8, 9):
+                chain = densify_polyline(curve.subdivision_stack(depth).reshape(-1, 2), 2)
+                hausdorff_distance(chain, dense)
+                hausdorff_distance(dense, chain)
+    assert len(per_direction) == 9 * len(ALPHAS) * 4 * 4
+    assert max(per_direction) <= 2, sorted(set(per_direction))
+
+
+def _fuzzed_pair(rng, dim):
+    """Two paths of one of five kinds, in ``dim`` dimensions."""
+    m, k = (int(v) for v in rng.integers(1, 90, size=2))
+    kind = int(rng.integers(0, 5))
+    walk = lambda n: np.cumsum(rng.standard_normal((n, dim)), axis=0)
+    if kind == 0:
+        return walk(m), walk(k)
+    if kind == 1:  # a helix against a resampled copy traced backwards
+        s, t = np.sort(rng.uniform(0.0, 6.0, m)), np.sort(rng.uniform(0.0, 6.0, k))
+        helix = lambda u: np.stack([np.cos(u), np.sin(u), 0.3 * u], axis=1)[:, :dim]
+        return helix(s), helix(t)[::-1] + 0.01 * rng.standard_normal((k, dim))
+    if kind == 2:  # every vertex repeated one to three times
+        a = walk(m)
+        return np.repeat(a, rng.integers(1, 4, m), axis=0), a[::2] + 0.1
+    if kind == 3:  # a single vertex against a walk
+        return rng.standard_normal((1, dim)), walk(k)
+    a = walk(m)  # a walk against noisy samples of itself
+    return a, a[rng.integers(0, m, k)] + 1e-3 * rng.standard_normal((k, dim))
+
+
+def test_hausdorff_matches_brute_force_oracle_on_fuzzed_paths():
+    rng = np.random.default_rng(1313)
+    for trial in range(90):
+        dim = 1 + trial % 3
+        a, b = _fuzzed_pair(rng, dim)
+        scale = (1.0, 1e-300, 1e149)[trial // 3 % 3]
+        s = scale / max(np.abs(a).max(), np.abs(b).max(), 1e-300)
+        a, b = s * a, s * b
+        assert np.abs(np.vstack([a, b])).max() < 1e150  # the pruned search runs
+        for x, y in ((a, b), (b, a), (a[::-1], b), (a, b[::-1])):
+            assert hausdorff_distance(x, y) == reference_hausdorff(x, y)
+        if trial % 4 == 0:  # a 1-D path as a flat array
+            assert hausdorff_distance(a[:, 0], b[:, 0]) == reference_hausdorff(a[:, 0], b[:, 0])
+
+
+def test_hausdorff_matches_brute_force_oracle_without_finite_bounds_on_fuzzed_paths():
+    rng = np.random.default_rng(1314)
+    with np.errstate(all="ignore"):
+        for trial in range(36):
+            a, b = _fuzzed_pair(rng, 1 + trial % 3)
+            kind = trial // 3 % 4
+            if kind < 2:  # one NaN or inf coordinate on either side
+                x = (a, b)[trial % 2]
+                x[rng.integers(0, len(x)), rng.integers(0, x.shape[1])] = (np.nan, np.inf)[kind]
+            else:  # past the pruning limit, with squares finite or overflowing
+                s = (1e151, 1e200)[kind - 2] / max(np.abs(a).max(), np.abs(b).max())
+                a, b = s * a, s * b
+            for x, y in ((a, b), (b, a), (a[::-1], b)):
+                assert np.array_equal(hausdorff_distance(x, y), reference_hausdorff(x, y),
+                                      equal_nan=True)
 
 
 def _farthest_point_behind_decoys():
@@ -929,8 +1036,14 @@ def test_hausdorff_rejects_a_path_without_points():
 # test_accuracy.py measures against exact rationals.
 
 
+def reference_points(points):
+    """An (n, d) float array; a 1-D input is a column of 1-D points."""
+    pts = np.asarray(points, dtype=float)
+    return pts.reshape(-1, 1) if pts.ndim < 2 else pts
+
+
 def reference_densify(points, per_edge):
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = reference_points(points)
     ts = np.arange(per_edge) / per_edge
     rows = [(1.0 - t) * pts[i] + t * pts[i + 1] for i in range(len(pts) - 1) for t in ts]
     rows.append(pts[-1])
@@ -957,8 +1070,7 @@ def reference_min_dist_to_polyline(points, vertices):
 
 
 def reference_hausdorff(path_a, path_b):
-    a = np.atleast_2d(np.asarray(path_a, dtype=float))
-    b = np.atleast_2d(np.asarray(path_b, dtype=float))
+    a, b = reference_points(path_a), reference_points(path_b)
     return float(max(reference_min_dist_to_polyline(a, b).max(),
                      reference_min_dist_to_polyline(b, a).max()))
 
