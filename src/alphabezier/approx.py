@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import BasisSpec, collocation_matrix, rowwise_dot
-from .errors import ArgumentError, SolveError
+from .errors import SolveError, _check_count
 
 #: Fits above this degree are rejected; conditioning is untested beyond it.
 MAX_FIT_DEGREE = 30
@@ -37,6 +37,12 @@ class FitResult:
     l2_error: float
 
 
+def _check_fit(spec: BasisSpec, error_grid) -> int:
+    """The fit-degree cap and the error grid size, checked before any solve."""
+    _check_count("degree", spec.degree, 0, MAX_FIT_DEGREE)
+    return _check_count("error_grid", error_grid, 1)
+
+
 def _grid_errors(f: Callable[[float], float], spec: BasisSpec,
                  coeffs: np.ndarray, grid: int) -> tuple[float, float]:
     xs = np.linspace(spec.a, spec.b, grid)
@@ -54,8 +60,7 @@ def fit_collocation(f: Callable[[float], float], spec: BasisSpec,
     the solved coefficients fail to reproduce f at the nodes to within
     NODE_RESIDUAL_RTOL relative, which would signal a singular system.
     """
-    if spec.degree > MAX_FIT_DEGREE:
-        raise ArgumentError(f"degree {spec.degree} above fitting maximum {MAX_FIT_DEGREE}")
+    error_grid = _check_fit(spec, error_grid)
     nodes = np.array([mp.location for mp in spec.maxima()])
     matrix = collocation_matrix(spec, nodes)
     y = np.array([f(x) for x in nodes.tolist()])
@@ -76,11 +81,8 @@ def fit_least_squares(f: Callable[[float], float], spec: BasisSpec,
     Solved by SVD-backed orthogonal factorization.  Raises SolveError on
     rank deficiency, ArgumentError when samples < degree + 1.
     """
-    if spec.degree > MAX_FIT_DEGREE:
-        raise ArgumentError(f"degree {spec.degree} above fitting maximum {MAX_FIT_DEGREE}")
-    if samples < spec.degree + 1:
-        raise ArgumentError(f"need at least {spec.degree + 1} samples, got {samples}")
-    xs = np.linspace(spec.a, spec.b, samples)
+    error_grid = _check_fit(spec, error_grid)
+    xs = np.linspace(spec.a, spec.b, _check_count("samples", samples, spec.degree + 1))
     matrix = collocation_matrix(spec, xs)
     y = np.array([f(x) for x in xs.tolist()])
     coeffs, _, rank, _ = np.linalg.lstsq(matrix, y, rcond=None)

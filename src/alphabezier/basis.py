@@ -22,8 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ArgumentError
-from .homography import DOMAIN_RTOL, HomographyMap
+from .errors import ArgumentError, DomainError, _check_count
+from .homography import HomographyMap
 
 #: Specs above this degree are rejected at construction.
 MAX_DEGREE = 60
@@ -74,8 +74,7 @@ def peak_value(n: int, i: int) -> float:
     Independent of the reparametrization index.  Evaluated as an exact
     integer ratio (0**0 == 1), so equal indices give bit-identical values.
     """
-    if not 0 <= i <= n:
-        raise ArgumentError(f"index {i} outside 0..{n}")
+    n, i = _check_count("degree", n, 0), _check_count("index", i, 0, n)
     if n == 0:
         return 1.0
     return math.comb(n, i) * i**i * (n - i) ** (n - i) / n**n
@@ -102,12 +101,7 @@ class BasisSpec:
     homography: HomographyMap
 
     def __post_init__(self):
-        if not isinstance(self.degree, int) or isinstance(self.degree, bool):
-            raise ArgumentError(f"degree must be an integer, got {self.degree!r}")
-        if self.degree < 0:
-            raise ArgumentError("degree must be nonnegative")
-        if self.degree > MAX_DEGREE:
-            raise ArgumentError(f"degree {self.degree} above supported maximum {MAX_DEGREE}")
+        object.__setattr__(self, "degree", _check_count("degree", self.degree, 0, MAX_DEGREE))
 
     @property
     def a(self) -> float:
@@ -149,9 +143,7 @@ class BasisSpec:
         The chain rule applied to w-derivatives taken as differences of
         the closed form one and two degrees lower; defined for every degree.
         """
-        if order not in (1, 2):
-            raise ArgumentError(f"order must be 1 or 2, got {order!r}")
-        return self._derivative_rows(x, order)[-1]
+        return self._derivative_rows(x, _check_count("order", order, 1, 2))[-1]
 
     def _derivative_rows(self, x: float, order: int) -> tuple:
         """The x-derivative rows of orders 1..order at x: one ``_jet`` call, and
@@ -206,11 +198,10 @@ def collocation_matrix(spec: BasisSpec, nodes) -> np.ndarray:
         raise ArgumentError("nodes must be a nonempty 1-D sequence")
     if np.any(np.diff(xs) <= 0.0):
         raise ArgumentError("nodes must be strictly increasing")
-    h = spec.homography
-    tol = DOMAIN_RTOL * h.width
-    if xs[0] < h.a - tol or xs[-1] > h.b + tol:
-        raise ArgumentError(f"nodes must lie inside [{h.a}, {h.b}]")
-    return spec.values(xs)
+    try:
+        return spec.values(xs)
+    except DomainError:
+        raise ArgumentError(f"nodes must lie inside [{spec.a}, {spec.b}]") from None
 
 
 def rowwise_dot(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

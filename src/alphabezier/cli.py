@@ -40,7 +40,7 @@ from .render import RENDERERS, Result, alpha_json, alpha_text
 COMMANDS = ("basis", "curve", "subdivide", "elevate", "fit", "selftest")
 FORMATS = ("csv", "json", "svg")
 DEFAULT_PANEL_ALPHAS = (-1.0, 2.0, 5.0, INFINITY)
-SEED_ENV_VAR = "ALPHABEZIER_SEED"
+SEED_ENV_VAR = "ALPHABEZIER_SEED"  # read only by selftest, the one seeded command
 MAX_SAMPLES = 2**16  # output tables hold one row per sample
 #: numbers one job may write: its sample tables plus its polygons.  It admits
 #: every size flag at its own cap with the others at their defaults; the
@@ -235,7 +235,7 @@ def parse_config(argv=None) -> JobConfig:
     except ArgumentError as exc:
         raise ValidationError("alpha", str(exc)) from None
 
-    seed_text = os.environ.get(SEED_ENV_VAR, "0")
+    seed_text = os.environ.get(SEED_ENV_VAR, "0") if command == "selftest" else "0"
     try:
         seed = int(seed_text)
     except ValueError:
@@ -331,8 +331,7 @@ def _random_spec(rng: np.random.Generator) -> BasisSpec:
         alpha = rng.uniform(2.0, 7.0)
     else:
         alpha = INFINITY
-    degree = int(rng.integers(1, 9))
-    return BasisSpec(degree, HomographyMap(a, b, alpha))
+    return BasisSpec(rng.integers(1, 9), HomographyMap(a, b, alpha))
 
 
 def _partition_residual(spec: BasisSpec, rng: np.random.Generator) -> float:

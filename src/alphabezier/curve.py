@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, rowwise_dot
-from .errors import ArgumentError, DomainError, SingularPointError
+from .errors import ArgumentError, SingularPointError, _check_count
 from .homography import HomographyMap
 
 #: Recursive subdivision is capped here; the polygon count doubles per level.
@@ -196,11 +196,6 @@ class BezierCurve:
         out = np.vstack([pts[:1], t * pts[:-1] + (1.0 - t) * pts[1:], pts[-1:]])
         return BezierCurve(ControlPolygon(out), self.spec.raised())
 
-    def _check_split(self, c: float) -> None:
-        if not self.a < c < self.b:
-            raise DomainError(f"split parameter {c} must lie strictly inside "
-                              f"({self.a}, {self.b})")
-
     def subdivide(self, c: float) -> SubdivisionResult:
         """Split at an interior parameter c into two same-degree curves.
 
@@ -208,11 +203,11 @@ class BezierCurve:
         the arc up to the split point, the right child the rest, and they
         share the curve point at c as a common polygon vertex.
         """
-        self._check_split(c)
+        c = self.homography._split_point(c)
         tab = self.tableau(c)
         left = BezierCurve(ControlPolygon(tab.left_points()), self.spec)
         right = BezierCurve(ControlPolygon(tab.right_points()), self.spec)
-        return SubdivisionResult(left, right, float(c))
+        return SubdivisionResult(left, right, c)
 
     def subdivision_stack(self, depth: int) -> np.ndarray:
         """The polygons of ``subdivide_recursive`` as one read-only (2**depth, n+1, d) array.
@@ -222,15 +217,10 @@ class BezierCurve:
         arithmetic of ``subdivide`` applied elementwise.  The finished
         stack is checked for finiteness once, since a split can overflow.
         """
-        if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
-            raise ArgumentError(f"depth must be a nonnegative integer, got {depth!r}")
-        if depth > MAX_SUBDIVISION_DEPTH:
-            raise ArgumentError(f"depth {depth} above maximum {MAX_SUBDIVISION_DEPTH}")
+        depth = _check_count("depth", depth, 0, MAX_SUBDIVISION_DEPTH)
         if depth == 0:
             return self.polygon.points[None]
-        c = 0.5 * (self.a + self.b)
-        self._check_split(c)
-        w, u = self.homography.weights(c)
+        w, u = self.homography.weights(self.homography._split_point(0.5 * (self.a + self.b)))
         polys = self.polygon.points[None]
         for _ in range(depth):
             tab = DeCasteljauTableau.at(polys.swapaxes(0, 1), w, u)
@@ -340,11 +330,11 @@ def index_invariance(curve: BezierCurve, other: BezierCurve,
         raise ArgumentError("curves must share control polygons of equal length")
     f = curve.homography
     g = other.homography
-    xs = np.linspace(curve.a, curve.b, samples)
+    xs = np.linspace(curve.a, curve.b, _check_count("samples", samples, 1))
     ys = g.inverse_pair(*f.weights(xs))
     diff = curve.samples(xs) - other.samples(ys)
     dist = np.sqrt(rowwise_dot(diff, diff[:, :, None])[:, 0])  # rounds like np.linalg.norm
-    return CorrespondenceReport(float(dist.max(initial=0.0)), xs, ys)
+    return CorrespondenceReport(float(dist.max()), xs, ys)
 
 
 def _path(points, name: str) -> np.ndarray:
@@ -358,8 +348,7 @@ def _path(points, name: str) -> np.ndarray:
 
 def densify_polyline(points, per_edge: int = 8) -> np.ndarray:
     """Points along a polyline, per_edge per segment plus the final vertex."""
-    if not isinstance(per_edge, (int, np.integer)) or isinstance(per_edge, bool) or per_edge < 1:
-        raise ArgumentError(f"per_edge must be a positive integer, got {per_edge!r}")
+    per_edge = _check_count("per_edge", per_edge, 1)
     pts = _path(points, "points")
     ts = (np.arange(per_edge) / per_edge)[:, None]
     rows = (1.0 - ts) * pts[:-1, None] + ts * pts[1:, None]
@@ -387,7 +376,7 @@ def _segment_d2(p, v0, dv, len2, work):
     so when the allocator hands back pages it must fault in again.
     """
     shape = np.broadcast_shapes(p.shape[1:], v0.shape[1:])
-    dot, tmp, d2 = work[: 3 * np.prod(shape, dtype=int)].reshape(3, *shape)
+    dot, tmp, d2 = work[: 3 * math.prod(shape)].reshape(3, *shape)
     dot.fill(0.0)
     d2.fill(0.0)
     for c in range(len(p)):

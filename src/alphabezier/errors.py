@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one count check."""
+
+import math
+import operator
 
 
 class ArgumentError(ValueError):
@@ -23,3 +26,17 @@ class ValidationError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+
+
+def _check_count(name: str, value, lo: int, hi: float = math.inf) -> int:
+    """``value`` as a Python int in lo..hi; Python and numpy integers pass, and bool,
+    floats, strings or a value out of range raise ArgumentError naming ``name``."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or isinstance(value, bool) or not lo <= n <= hi:
+        wanted = (f"an integer in {lo}..{hi}" if hi < math.inf else
+                  "a positive integer" if lo == 1 else f"an integer of at least {lo}")
+        raise ArgumentError(f"{name} must be {wanted}, got {value!r}")
+    return n

@@ -43,16 +43,16 @@ DOMAIN_RTOL = 1e-12
 
 
 def _clamp(x, lo: float, hi: float, tol: float, name: str):
-    """x clamped onto [lo, hi]; DomainError if NaN or further than tol outside.
-    min/max for a float, ``np.clip`` for anything else."""
+    """x clamped onto [lo, hi]; DomainError, naming the first bad value as a float,
+    if NaN or further than tol outside.  min/max for a float, ``np.clip`` otherwise."""
     if isinstance(x, (float, int)):
         if not lo - tol <= x <= hi + tol:
-            raise DomainError(f"{name}={x!r} outside [{lo}, {hi}]")
+            raise DomainError(f"{name}={float(x)!r} outside [{lo}, {hi}]")
         return min(max(x, lo), hi)
     x = np.asarray(x, dtype=float)
     outside = ~((lo - tol <= x) & (x <= hi + tol))
     if outside.any():
-        raise DomainError(f"{name}={x[outside].flat[0]!r} outside [{lo}, {hi}]")
+        raise DomainError(f"{name}={float(x[outside].flat[0])!r} outside [{lo}, {hi}]")
     return np.clip(x, lo, hi)
 
 
@@ -157,6 +157,12 @@ class HomographyMap:
         """Second derivative of value at x; see ``_jet``."""
         return self._jet(x)[3]
 
+    def _split_point(self, c) -> float:
+        """c as a float; DomainError unless a < c < b.  The one split rule."""
+        if not self.a < c < self.b:
+            raise DomainError(f"split point {c} must lie strictly inside ({self.a}, {self.b})")
+        return float(c)
+
     def split_left(self, c: float) -> SegmentReparam:
         """Bijection of [a, b] onto [a, c] that multiplies this map by value(c)."""
         return SegmentReparam(self, c, Side.LEFT)
@@ -181,11 +187,7 @@ class SegmentReparam:
     side: Side
 
     def __post_init__(self):
-        c = float(self.c)
-        if not self.parent.a < c < self.parent.b:
-            raise DomainError(f"split point {c} must lie strictly inside "
-                              f"({self.parent.a}, {self.parent.b})")
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", self.parent._split_point(self.c))
 
     def value(self, t: float) -> float:
         f = self.parent

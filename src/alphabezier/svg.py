@@ -15,26 +15,26 @@ PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#17becf", "#7f7f7f", "#bcbd22", "#e377c2",
 )
+#: The plot margin per side as a fraction of the size, the font size and
+#: colour of every label, and the stroke of every frame.
+MARGIN, TEXT_SIZE, TEXT_FILL, RECT_STROKE = 0.05, 12, "#333333", "#cccccc"
 
 
 def _fmt(v: float) -> str:
     return f"{v:.4f}"
 
 
-def transformer(bbox, width: float, height: float, margin: float = 0.05):
-    """Map data (x, y) to pixel (X, Y) with a relative margin and a y flip.
+def transformer(bbox, width: float, height: float):
+    """Map data (x, y) to pixel (X, Y) with the relative ``MARGIN`` and a y flip.
 
     The returned closure takes floats or equal-shape arrays; on arrays it
     does elementwise the same float operations, so each pixel has the same
     bits either way.
     """
     x0, x1, y0, y1 = bbox
-    spanx = max(x1 - x0, 1e-30)
-    spany = max(y1 - y0, 1e-30)
-    mx = margin * width
-    my = margin * height
-    sx = (width - 2 * mx) / spanx
-    sy = (height - 2 * my) / spany
+    mx, my = MARGIN * width, MARGIN * height
+    sx = (width - 2 * mx) / max(x1 - x0, 1e-30)
+    sy = (height - 2 * my) / max(y1 - y0, 1e-30)
 
     def to_pixel(x, y):
         return mx + (x - x0) * sx, height - my - (y - y0) * sy
@@ -63,14 +63,14 @@ def circle(x: float, y: float, r: float, fill: str) -> str:
     return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="{fill}"/>'
 
 
-def text(x: float, y: float, s: str, size: int = 12, fill: str = "#333333") -> str:
+def text(x: float, y: float, s: str) -> str:
     return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
-            f'font-size="{size}" fill="{fill}">{s}</text>')
+            f'font-size="{TEXT_SIZE}" fill="{TEXT_FILL}">{s}</text>')
 
 
-def rect(x: float, y: float, w: float, h: float, stroke: str = "#cccccc") -> str:
+def rect(x: float, y: float, w: float, h: float) -> str:
     return (f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-            f'fill="none" stroke="{stroke}"/>')
+            f'fill="none" stroke="{RECT_STROKE}"/>')
 
 
 def _lines(first: str, elements, last: str) -> str:

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from alphabezier import make_curve, preset_polygon
+from alphabezier import cli, make_curve, preset_polygon
 from alphabezier.approx import MAX_FIT_DEGREE
 from alphabezier.basis import MAX_DEGREE, BasisSpec
 from alphabezier.cli import (
@@ -655,3 +655,37 @@ def test_output_budget_counts_the_result(job, tmp_path, monkeypatch):
     assert _output_numbers(config.command, config.degree, len(config.maps), config.polygon,
                            len(config.xs), config.depth) == written
     assert written <= MAX_OUTPUT_NUMBERS // 1000
+
+
+def test_interval_with_three_ends_exits_2_naming_interval(tmp_path, capsys):
+    with pytest.raises(ValidationError) as info:
+        parse_config(["--command", "basis", "--interval", "0,1,2", "--out", "x"])
+    assert info.value.field == "interval"
+    code, out = run(tmp_path, "basis.svg", "--command", "basis", "--interval", "0,1,2")
+    assert code == 2 and not out.exists()
+    assert "interval: expected 'a,b', got '0,1,2'" in capsys.readouterr().err
+
+
+def test_only_selftest_reads_the_seed(tmp_path, monkeypatch):
+    monkeypatch.setenv("ALPHABEZIER_SEED", "abc")
+    code, out = run(tmp_path, "basis.svg", "--command", "basis")
+    monkeypatch.delenv("ALPHABEZIER_SEED")
+    assert code == 0
+    assert main(["--command", "basis", "--out", str(tmp_path / "plain.svg")]) == 0
+    assert out.read_bytes() == (tmp_path / "plain.svg").read_bytes()
+    monkeypatch.setenv("ALPHABEZIER_SEED", "7")
+    assert parse_config(["--command", "curve", "--polygon", "a", "--out", "x"]).seed == 0
+    assert parse_config(["--command", "selftest"]).seed == 7
+
+
+def test_failing_self_test_writes_its_report_and_exits_1(tmp_path, monkeypatch, capsys):
+    checks = list(cli.SELFTEST_CHECKS)
+    name, draws, residual, _ = checks[0]
+    checks[0] = (name, draws, residual, -1.0)  # no residual is below a negative tolerance
+    monkeypatch.setattr(cli, "SELFTEST_CHECKS", tuple(checks))
+    code, out = run(tmp_path, "self.json", "--command", "selftest")
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert report["pass"] is False
+    assert [check["pass"] for check in report["checks"]] == [False, True, True, True]
+    assert "self test failed" in capsys.readouterr().err

@@ -64,6 +64,20 @@ def test_polygon_validation():
         ControlPolygon(np.zeros((3, 4)))
 
 
+def test_polygon_rejects_a_3d_array():
+    with pytest.raises(ArgumentError, match="^control points must form a 2-D array$"):
+        ControlPolygon(np.zeros((2, 2, 2)))
+
+
+def test_curve_from_a_raw_point_list_wraps_it_in_a_polygon():
+    points = [(0.0, 3.5), (4.0, 0.5), (4.5, 2.5), (0.0, 0.0)]
+    curve = BezierCurve(points, BasisSpec(3, HomographyMap(0.0, 1.0, 2.0)))
+    assert isinstance(curve.polygon, ControlPolygon)
+    assert np.array_equal(curve.polygon.points, preset_polygon("g").points)
+    assert np.array_equal(curve.samples(np.linspace(0.0, 1.0, 9)),
+                          make_curve(points, 2.0).samples(np.linspace(0.0, 1.0, 9)))
+
+
 def test_polygon_accepts_scalars_as_1d():
     poly = ControlPolygon([0.0, 1.0, 3.0])
     assert poly.dim == 1
