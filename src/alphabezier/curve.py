@@ -9,7 +9,10 @@ anti-diagonal of one tableau; both children are parametrized over the full
 original interval through the split reparametrizations.  One batched
 recursion, ``DeCasteljauTableau.at``, builds the tableau, the point, the
 split and the subdivision stack; its arrays put the point index first, the
-coordinates last, and independent polygons on the axes in between.
+coordinates last, and independent polygons on the axes in between.  The
+subdivision stack writes each level's children in place, so a level costs
+one tableau and no stacking.  The Hausdorff distance searches the vertices
+of both paths together, with one running maximum for both directions.
 """
 
 from __future__ import annotations
@@ -49,14 +52,17 @@ class ControlPolygon:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def _view(cls, points: np.ndarray) -> "ControlPolygon":
-        """A polygon over a read-only (n+1, d) array that already passed these checks.
+    def _views(cls, stack: np.ndarray) -> list:
+        """One polygon per row of a read-only (m, n+1, d) stack that already passed these checks.
 
         No copy is made and ``__post_init__`` does not run.
         """
-        polygon = object.__new__(cls)
-        object.__setattr__(polygon, "points", points)
-        return polygon
+        new, polygons = object.__new__, []
+        for row in stack:
+            polygon = new(cls)
+            polygon.__dict__["points"] = row  # frozen: set as object.__setattr__ would
+            polygons.append(polygon)
+        return polygons
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -212,24 +218,35 @@ class BezierCurve:
     def subdivision_stack(self, depth: int) -> np.ndarray:
         """The polygons of ``subdivide_recursive`` as one read-only (2**depth, n+1, d) array.
 
-        The work goes level by level: all 2**j polygons of level j sit in
-        one array, and one batched tableau splits them all, with the
-        arithmetic of ``subdivide`` applied elementwise.  The finished
-        stack is checked for finiteness once, since a split can overflow.
+        The work goes level by level: all M polygons of a level sit point
+        first in one (n+1, M, d) array, and one batched tableau splits them
+        all, with the arithmetic of ``subdivide`` applied elementwise.  The
+        children's points are written straight into an (n+1, M, 2, d) array,
+        which read as (n+1, 2M, d) is the next level in curve order, and
+        each tableau is dropped before the next is built; one transposed copy
+        at the end gives the stack.  It is checked for finiteness once,
+        since a split can overflow.
         """
         depth = _check_count("depth", depth, 0, MAX_SUBDIVISION_DEPTH)
+        pts = self.polygon.points
         if depth == 0:
-            return self.polygon.points[None]
+            return pts[None]
         w, u = self.homography.weights(self.homography._split_point(0.5 * (self.a + self.b)))
-        polys = self.polygon.points[None]
+        n, d = len(pts) - 1, pts.shape[1]
+        polys = pts[:, None]
         for _ in range(depth):
-            tab = DeCasteljauTableau.at(polys.swapaxes(0, 1), w, u)
-            halves = np.stack([tab.left_points(), tab.right_points()], axis=1)
-            polys = halves.reshape(-1, *polys.shape[1:])
+            levels = DeCasteljauTableau.at(polys, w, u).levels
+            polys = np.empty((n + 1, polys.shape[1], 2, d))
+            for i, level in enumerate(levels):
+                polys[i, :, 0] = level[0]  # the left child: first point of each level
+                polys[n - i, :, 1] = level[-1]  # the right child: the anti-diagonal
+            polys = polys.reshape(n + 1, -1, d)
+            del levels, level  # drop this tableau before the next one is built
         if not np.isfinite(polys).all():
             raise ArgumentError("control points must be finite")
-        halves.flags.writeable = polys.flags.writeable = False  # the stack and its owner
-        return polys
+        stack = polys.transpose(1, 0, 2).copy()
+        stack.flags.writeable = False
+        return stack
 
     def subdivide_recursive(self, depth: int) -> list[ControlPolygon]:
         """Polygons of the 2**depth curves from repeated midpoint splits, in curve order.
@@ -240,7 +257,7 @@ class BezierCurve:
         is a view of one row of it, not a copy.
         """
         stack = self.subdivision_stack(depth)
-        return [ControlPolygon._view(row) for row in stack] if depth else [self.polygon]
+        return ControlPolygon._views(stack) if depth else [self.polygon]
 
     def endpoint_tangents(self) -> EndpointTangents:
         """Derivative vectors at a and b; positive multiples of the end legs."""
@@ -367,51 +384,71 @@ _HAUSDORFF_PRUNE_LIMIT = 1e150
 def _segment_d2(p, v0, dv, len2, work):
     """Squared distance from points p to segments v0 + t*dv, t in [0, 1].
 
-    Coordinates lie on the first axis and the rest broadcast.  Sums run in
-    coordinate order and the root is left to the caller, so every pair
-    rounds exactly as in a plain all-pairs evaluation.  All buffers are
-    carved from the flat float array ``work``, which must hold three per
-    pair, and the result is a view into it, valid until the next call:
-    fresh block-sized temporaries cost more than the arithmetic, the more
-    so when the allocator hands back pages it must fault in again.
+    Coordinates lie on the first axis and the rest broadcast, with equal
+    ranks.  Sums run in coordinate order and the root is left to the
+    caller, so every pair rounds exactly as in a plain all-pairs
+    evaluation.  All buffers are carved from the flat float array
+    ``work``, which must hold three per pair, and the result is a view into
+    it, valid until the next call: fresh block-sized temporaries cost more
+    than the arithmetic, the more so when the allocator hands back pages it
+    must fault in again.  Only ufuncs run here; ``t`` is clipped as
+    ``np.clip`` clips it, without that wrapper's cost.
     """
-    shape = np.broadcast_shapes(p.shape[1:], v0.shape[1:])
+    shape = tuple(map(max, p.shape[1:], v0.shape[1:]))
     dot, tmp, d2 = work[: 3 * math.prod(shape)].reshape(3, *shape)
     dot.fill(0.0)
     d2.fill(0.0)
     for c in range(len(p)):
         dot += np.multiply(np.subtract(p[c], v0[c], out=tmp), dv[c], out=tmp)
-    t = np.clip(np.divide(dot, len2, out=dot), 0.0, 1.0, out=dot)
+    t = np.minimum(1.0, np.maximum(0.0, np.divide(dot, len2, out=dot), out=dot), out=dot)
     for c in range(len(p)):
         proj = np.add(v0[c], np.multiply(t, dv[c], out=tmp), out=tmp)
         d2 += np.square(np.subtract(p[c], proj, out=tmp), out=tmp)
     return d2
 
 
-def _path_tables(path: np.ndarray, pruned: bool) -> tuple:
-    """One path's tables, built once for both directions of ``hausdorff_distance``.
+def _path_tables(a: np.ndarray, b: np.ndarray, pruned: bool) -> tuple:
+    """Both paths' tables, built once for the pooled search of ``hausdorff_distance``.
 
-    The path, its points as (d, n) and a packed (2d+1, n-1) segment table
-    of rows v0, dv and len2, a zero length read as 1 so that a duplicate
-    vertex acts as a point.  When ``pruned``, also each vertex's arc-length
-    fraction and the box corners of every ``_HAUSDORFF_CHUNK`` segments.
+    One packed (2d+1, na + nb) table of rows v0, dv and len2, a zero length
+    read as 1 so that a duplicate vertex acts as a point.  Its rows v0 are
+    the vertices of a and then of b, also returned as ``pt``; column k
+    holds the segment from vertex k to vertex k+1.  The segments of a are
+    columns [0, na - 1) and those of b [na, na + nb - 1); the two columns of
+    each path's last vertex hold that vertex as a point and are never used.
+    ``sides`` holds, for the vertices of a and then those of b, the path,
+    the other path, the vertices' columns, and the other path's segment
+    columns and chunks.  When ``pruned``, also every vertex's arc-length
+    fraction along its own path, and for every ``_HAUSDORFF_CHUNK``
+    segments of either path the box corners and the first segment column.
     """
-    pt = path.T.copy()
-    d, n = pt.shape
-    table = np.concatenate([pt[:, :-1], np.diff(pt, axis=1), np.empty((1, n - 1))])
-    v0, dv, len2 = table[:d], table[d:-1], table[-1]
+    na, m, d = len(a), len(a) + len(b), a.shape[1]
+    table = np.empty((2 * d + 1, m))
+    pt, dv, len2 = table[:d], table[d:-1], table[-1]
+    pt[:, :na], pt[:, na:] = a.T, b.T
+    np.subtract(pt[:, 1:na], pt[:, : na - 1], out=dv[:, : na - 1])
+    np.subtract(pt[:, na + 1 :], pt[:, na:-1], out=dv[:, na:-1])
+    dv[:, na - 1] = dv[:, -1] = 0.0
     np.square(dv).sum(axis=0, out=len2)
-    fraction = lo = hi = None
+    fraction = lo = hi = starts = None
     if pruned:
-        fraction = np.zeros(n)
-        np.cumsum(np.sqrt(len2), out=fraction[1:])
-        fraction /= fraction[-1] or 1.0
-        starts = np.arange(0, n - 1, _HAUSDORFF_CHUNK)  # a box spans its chunk's end vertex too
-        ends = pt[:, np.minimum(starts + _HAUSDORFF_CHUNK, n - 1)]
-        lo = np.minimum(np.minimum.reduceat(v0, starts, axis=1), ends)
-        hi = np.maximum(np.maximum.reduceat(v0, starts, axis=1), ends)
+        root, fraction = np.sqrt(len2), np.zeros(m)
+        np.cumsum(root[: na - 1], out=fraction[1:na])
+        np.cumsum(root[na:-1], out=fraction[na + 1 :])
+        fraction[:na] /= fraction[na - 1] or 1.0
+        fraction[na:] /= fraction[-1] or 1.0
+        starts = np.concatenate([np.arange(0, na - 1, _HAUSDORFF_CHUNK),
+                                 np.arange(na, m - 1, _HAUSDORFF_CHUNK)])
+        # a box spans its chunk's end vertex too; each path's last box also
+        # spans the column of its last vertex, which is that end vertex
+        ends = pt[:, np.minimum(starts + _HAUSDORFF_CHUNK, np.where(starts < na, na - 1, m - 1))]
+        lo = np.minimum(np.minimum.reduceat(pt, starts, axis=1), ends)
+        hi = np.maximum(np.maximum.reduceat(pt, starts, axis=1), ends)
     len2[len2 == 0.0] = 1.0
-    return path, pt, table, fraction, lo, hi
+    chunks_a = -(-(na - 1) // _HAUSDORFF_CHUNK)
+    sides = ((a, b, slice(0, na), slice(na, m - 1), slice(chunks_a, None)),
+             (b, a, slice(na, m), slice(0, na - 1), slice(0, chunks_a)))
+    return pt, table, fraction, lo, hi, starts, sides
 
 
 def _cull_margin(scale: float) -> float:
@@ -435,58 +472,93 @@ def _cull_margin(scale: float) -> float:
     return 2.0**-40 * max(scale, 2.0**-400)
 
 
-def _exact_block(p, bound, margin, chain: tuple, work) -> float:
-    """Largest over the points p, (d, r), of the squared distance to the chain.
+def _exact_block(tables, cols, bound, margin, work) -> float:
+    """Largest over the vertices in columns ``cols`` of ``pt`` of the squared
+    distance to the other path.
 
-    With a ``margin``, each point meets only the segments, taken from the
-    packed table, of the chunks within its bound plus the margin.
+    Each vertex meets only the segments, taken from the packed table, of
+    its other path's chunks within its bound plus the margin; all such
+    segments of both paths go through one kernel call.  When more than half
+    of the pairs of vertices and chunks of one path are hit, the vertices
+    meet all that path's segments instead.
     """
-    _, _, table, _, lo, hi = chain
-    d, q = len(p), p[:, :, None]
-    if margin is not None:
-        gap = np.maximum(np.maximum(lo[:, None] - q, q - hi[:, None]), 0.0)
-        hit, chunk = np.nonzero((gap * gap).sum(0) <= ((np.sqrt(bound) + margin) ** 2)[:, None])
-    if margin is None or 2 * len(hit) > gap[0].size:  # gathering would cost more than it saves
-        d2 = _segment_d2(q, table[:d, None], table[d:-1, None], table[-1], work)
-        return d2.min(axis=1).max()
-    segs = chunk[:, None] * _HAUSDORFF_CHUNK + np.arange(_HAUSDORFF_CHUNK)
-    near = table.take(np.minimum(segs, table.shape[1] - 1), axis=1)  # pads a short last chunk
-    d2 = _segment_d2(p.take(hit, axis=1)[:, :, None], near[:d], near[d:-1], near[-1], work)
-    mins = np.full(len(bound), np.inf)
-    np.minimum.at(mins, hit, d2.min(axis=1))
+    pt, table, _, lo, hi, starts, sides = tables
+    d = len(pt)
+    mins = np.full(len(cols), np.inf)
+    on_b = cols >= sides[1][2].start
+    hits, segs = [], []
+    for rows, (*_, segs_of, chunks) in zip((np.flatnonzero(~on_b), np.flatnonzero(on_b)), sides):
+        if not len(rows):
+            continue
+        q = pt.take(cols[rows], axis=1)[:, :, None]
+        gap = np.maximum(np.maximum(lo[:, None, chunks] - q, q - hi[:, None, chunks]), 0.0)
+        hit, chunk = np.nonzero((gap * gap).sum(0) <= ((np.sqrt(bound[rows]) + margin) ** 2)[:, None])
+        if 2 * len(hit) > gap[0].size:  # gathering would cost more than it saves
+            d2 = _segment_d2(q, table[:d, None, segs_of], table[d:-1, None, segs_of],
+                             table[-1, segs_of], work)
+            mins[rows] = d2.min(axis=1)
+        else:  # pads a short last chunk with the path's last segment
+            hits.append(rows[hit])
+            segs.append(np.minimum(starts[chunks][chunk, None] + np.arange(_HAUSDORFF_CHUNK),
+                                   segs_of.stop - 1))
+    if hits:
+        hit = np.concatenate(hits)
+        near = table.take(np.concatenate(segs), axis=1)
+        d2 = _segment_d2(pt.take(cols[hit], axis=1)[:, :, None], near[:d], near[d:-1],
+                         near[-1], work)
+        np.minimum.at(mins, hit, d2.min(axis=1))
     return mins.max()
 
 
-def _max_min_d2(source: tuple, chain: tuple, margin, work) -> float:
-    """Largest over the points of one path of the squared distance to another.
-
-    Both paths come as ``_path_tables``.  Each point is bounded by its
-    distance to the one chain segment at its arc-length fraction, counted
-    from the chain's end when the path's first point lies nearer the
-    chain's last vertex, so that a reversed path keeps tight bounds.  The
-    ``_HAUSDORFF_BLOCK`` largest bounds, found by partial selection, are
-    checked exactly first; then, sorted, the points whose bound still
-    beats the running maximum, which a point's exact minimum never
-    exceeds.  The exact pass culls chunks by box (see ``_cull_margin``) and
-    keeps every pair's arithmetic, so the result equals the all-pairs
-    evaluation bit for bit.  A ``margin`` of None marks NaN, inf or
-    magnitudes of ``_HAUSDORFF_PRUNE_LIMIT`` or more: every pair is checked.
-    """
-    points, pt, _, fraction, _, _ = source
-    vertices, _, table, chain_fraction, _, _ = chain
-    if len(vertices) == 1:
-        return ((points - vertices[0]) ** 2).sum(-1).max()
+def _all_pairs_max_min_d2(tables, side, work) -> float:
+    """Largest over the vertices of one path of the squared distance to the
+    other, every pair checked; the search for NaN, inf or huge coordinates."""
+    pt, table, *_, sides = tables
+    path, other, rows, segs, _ = sides[side]
+    if len(other) == 1:
+        return ((path - other[0]) ** 2).sum(-1).max()
     d, block = len(pt), _HAUSDORFF_BLOCK
-    if margin is None:  # NaN, inf or overflow: check every pair
-        return np.max([_exact_block(pt[:, i : i + block], None, None, chain, work)
-                       for i in range(0, len(points), block)])
-    start = points[0].tolist()
-    if math.dist(start, vertices[-1].tolist()) < math.dist(start, vertices[0].tolist()):
-        fraction = 1.0 - fraction  # the paths run opposite ways
-    near = table.take(np.searchsorted(chain_fraction[:-1], fraction, side="right") - 1, axis=1)
-    bound = _segment_d2(pt, near[:d], near[d:-1], near[-1], work).copy()
+    v0, dv, len2 = table[:d, None, segs], table[d:-1, None, segs], table[-1, segs]
+    return np.max([_segment_d2(pt[:, i : min(i + block, rows.stop), None], v0, dv, len2, work)
+                   .min(axis=1).max() for i in range(rows.start, rows.stop, block)])
+
+
+def _pruned_max_min_d2(tables, margin, work) -> float:
+    """Largest over the vertices of both paths of the squared distance to
+    the other path, with one running maximum for both directions.
+
+    Each vertex is bounded by its distance to the one segment of the other
+    path at its arc-length fraction, counted from that path's end when the
+    vertex's own path starts nearer that end, so that paths running
+    opposite ways keep tight bounds.  A vertex whose other path is a single
+    point is measured exactly at once.  The ``_HAUSDORFF_BLOCK`` largest
+    bounds of both paths together, found by partial selection, are checked
+    exactly first; then, sorted, the vertices whose bound still beats the
+    running maximum, which a vertex's exact minimum never exceeds.  The
+    exact pass culls chunks by box (see ``_cull_margin``) and keeps every
+    pair's arithmetic, so the result equals the all-pairs evaluation bit
+    for bit.
+    """
+    pt, table, fraction, *_, sides = tables
+    d, block = len(pt), _HAUSDORFF_BLOCK
+    best, near, bounded = -np.inf, [], []
+    for path, other, rows, segs, _ in sides:
+        if len(other) == 1:
+            best = max(best, ((path - other[0]) ** 2).sum(-1).max())
+            continue
+        own, start = fraction[rows], path[0].tolist()
+        if math.dist(start, other[-1].tolist()) < math.dist(start, other[0].tolist()):
+            own = 1.0 - own  # the paths run opposite ways
+        near.append(np.searchsorted(fraction[segs], own, side="right") + (segs.start - 1))
+        bounded.append(rows.start)
+    if not near:
+        return best
+    first = bounded[0]  # the bounded vertices are one run of columns
+    near = table.take(np.concatenate(near), axis=1)
+    bound = _segment_d2(pt[:, first : first + near.shape[1]], near[:d], near[d:-1], near[-1],
+                        work).copy()
     rows = np.argpartition(-bound, min(block, len(bound)) - 1)[:block]
-    best = _exact_block(pt.take(rows, axis=1), bound[rows], margin, chain, work)
+    best = max(best, _exact_block(tables, rows + first, bound[rows], margin, work))
     bound[rows] = -np.inf
     rest = np.flatnonzero(bound > best)
     order = rest[np.argsort(-bound[rest], kind="stable")]
@@ -494,7 +566,7 @@ def _max_min_d2(source: tuple, chain: tuple, margin, work) -> float:
         rows = order[i : i + block]
         if bound[rows[0]] <= best:
             break
-        best = max(best, _exact_block(pt.take(rows, axis=1), bound[rows], margin, chain, work))
+        best = max(best, _exact_block(tables, rows + first, bound[rows], margin, work))
     return best
 
 
@@ -503,18 +575,23 @@ def hausdorff_distance(path_a, path_b) -> float:
 
     The exact maximum of the vertex-to-polyline distances, taken both ways;
     a 1-D input is a column of 1-D points.  A deviation peaking strictly
-    between vertices is not probed, so sample densely.  Each path's tables
-    serve both directions, each vertex is bounded by one segment, and only
-    the vertices whose bound can raise the maximum meet the segments of
-    nearby chunks (see ``_max_min_d2``): the result equals the brute-force
-    all-pairs evaluation bit for bit.
+    between vertices is not probed, so sample densely.  The vertices of
+    both paths are searched together: each is bounded by one segment of
+    the other path, one running maximum serves both directions, and only
+    the vertices whose bound can raise it meet the segments of nearby
+    chunks (see ``_pruned_max_min_d2``).  The root of the largest squared
+    distance equals the larger of the two directions' roots, since the
+    square root is correctly rounded and monotone, so the result equals
+    the brute-force all-pairs evaluation bit for bit.
     """
     a, b = _path(path_a, "path_a"), _path(path_b, "path_b")
     if a.shape[1] != b.shape[1]:
         raise ArgumentError(f"paths have point dimensions {a.shape[1]} and {b.shape[1]}")
     scale = np.maximum(np.abs(a).max(), np.abs(b).max())  # NaN propagates
     margin = _cull_margin(scale) if scale < _HAUSDORFF_PRUNE_LIMIT else None
-    ta, tb = _path_tables(a, margin is not None), _path_tables(b, margin is not None)
+    tables = _path_tables(a, b, margin is not None)
     work = np.empty(3 * _HAUSDORFF_BLOCK * (max(len(a), len(b)) + _HAUSDORFF_CHUNK))
-    return float(max(np.sqrt(_max_min_d2(ta, tb, margin, work)),
-                     np.sqrt(_max_min_d2(tb, ta, margin, work))))
+    if margin is None:  # NaN, inf or overflow: every pair, each direction on its own
+        return float(max(np.sqrt(_all_pairs_max_min_d2(tables, 0, work)),
+                         np.sqrt(_all_pairs_max_min_d2(tables, 1, work))))
+    return float(np.sqrt(_pruned_max_min_d2(tables, margin, work)))

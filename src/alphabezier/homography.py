@@ -44,16 +44,19 @@ DOMAIN_RTOL = 1e-12
 
 def _clamp(x, lo: float, hi: float, tol: float, name: str):
     """x clamped onto [lo, hi]; DomainError, naming the first bad value as a float,
-    if NaN or further than tol outside.  min/max for a float, ``np.clip`` otherwise."""
+    if NaN or further than tol outside.  min/max for a float; for an array the
+    range test reads its extremes, which are NaN if any entry is, and
+    ``np.minimum(hi, np.maximum(lo, x))`` gives the bits of ``np.clip(x, lo, hi)``,
+    also for zeros of either sign, without that wrapper's cost."""
     if isinstance(x, (float, int)):
         if not lo - tol <= x <= hi + tol:
             raise DomainError(f"{name}={float(x)!r} outside [{lo}, {hi}]")
         return min(max(x, lo), hi)
     x = np.asarray(x, dtype=float)
-    outside = ~((lo - tol <= x) & (x <= hi + tol))
-    if outside.any():
+    if x.size and not (lo - tol <= x.min() and x.max() <= hi + tol):
+        outside = ~((lo - tol <= x) & (x <= hi + tol))
         raise DomainError(f"{name}={float(x[outside].flat[0])!r} outside [{lo}, {hi}]")
-    return np.clip(x, lo, hi)
+    return np.minimum(hi, np.maximum(lo, x))
 
 
 class Side(enum.Enum):

@@ -346,3 +346,23 @@ def reference_subdivide_recursive(curve, depth) -> list:
 def reference_subdivision_stack(curve, depth) -> np.ndarray:
     """The pieces of ``reference_subdivide_recursive`` stacked into one array."""
     return np.stack([p.points for p in reference_subdivide_recursive(curve, depth)])
+
+
+def reference_subdivision_levels(curve, depth) -> list:
+    """``reference_subdivision_stack`` at every depth from 0 to ``depth``, from
+    one depth-first recursion: the pieces of depth k are the split tree's nodes
+    on level k, which come out in curve order, and each is computed as a
+    recursion to depth k computes it."""
+    levels = [[] for _ in range(depth + 1)]
+    c = 0.5 * (curve.a + curve.b)
+    if depth and not curve.a < c < curve.b:
+        raise DomainError(f"no interior midpoint in ({curve.a}, {curve.b})")
+
+    def split(piece, level):
+        levels[level].append(piece.polygon.points)
+        if level < depth:
+            for pts in reference_children(piece, c):
+                split(BezierCurve(ControlPolygon(pts), curve.spec), level + 1)
+
+    split(curve, 0)
+    return [np.stack(level) for level in levels]

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,7 @@ from helpers import (
     reference_children,
     reference_derivatives,
     reference_subdivide_recursive,
+    reference_subdivision_levels,
     reference_subdivision_stack,
     reference_tableau,
 )
@@ -366,6 +368,35 @@ def test_subdivision_stack_matches_the_per_level_reference(dim):
         for depth in range(10):
             assert (outcome(curve.subdivision_stack, depth)
                     == outcome(reference_subdivision_stack, curve, depth)), (curve, depth)
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_subdivision_stack_matches_the_reference_at_every_depth_to_ten(dim):
+    # every preset under the oracle indices, mapped into R^dim; the levels are
+    # written in place, so each depth is checked, not only the last
+    for name in "abcdefghi":
+        for alpha in ORACLE_ALPHAS:
+            curve = make_curve(_in_dimension(preset_polygon(name), dim), alpha)
+            for depth, expected in enumerate(reference_subdivision_levels(curve, 10)):
+                stack = curve.subdivision_stack(depth)
+                assert outcome(lambda: stack) == outcome(lambda: expected), (name, alpha, depth)
+                assert not stack.flags.writeable
+
+
+def test_subdivision_stack_peaks_below_the_per_level_stacking():
+    # the children are written into one array per level and each tableau is
+    # dropped before the next is built: stacking both children's points per
+    # level, and then both halves, peaked at 3.25 times the depth-14 stack
+    curve = make_curve(preset_polygon("g"), 2.0)
+    curve.subdivision_stack(2)
+    tracemalloc.start()
+    try:
+        stack = curve.subdivision_stack(14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack.shape == (2**14, 4, 2)
+    assert peak <= 2.5 * stack.nbytes, peak / stack.nbytes
 
 
 def test_subdivision_polygons_approach_the_curve():
@@ -838,32 +869,26 @@ def test_hausdorff_of_opposite_paths_keeps_tight_bounds(monkeypatch):
     assert counts[1] <= counts[0] and counts[2] <= counts[0], counts
 
 
-def test_hausdorff_takes_one_bound_and_one_exact_block_per_direction(monkeypatch):
+def test_hausdorff_takes_one_bound_and_one_exact_block_for_both_directions(monkeypatch):
     # the geometry benchmark's inputs: every preset and index, the chain at
     # depths 6-9 densified twice against 512 curve samples, in both orders;
-    # each direction needs one bound pass and one exact block, no more
-    calls, per_direction = [], []
-    kernel, search = alphabezier.curve._segment_d2, alphabezier.curve._max_min_d2
-
-    def counted_search(*args):
-        before = len(calls)
-        result = search(*args)
-        per_direction.append(len(calls) - before)
-        return result
-
+    # the vertices of both paths share one bound pass and one exact block
+    calls, per_distance = [], []
+    kernel = alphabezier.curve._segment_d2
     monkeypatch.setattr(alphabezier.curve, "_segment_d2",
                         lambda *args: calls.append(1) or kernel(*args))
-    monkeypatch.setattr(alphabezier.curve, "_max_min_d2", counted_search)
     for name in "abcdefghi":
         for alpha in ALPHAS:
             curve = make_curve(preset_polygon(name), alpha)
             dense = curve.samples(np.linspace(0.0, 1.0, 512))
             for depth in (6, 7, 8, 9):
                 chain = densify_polyline(curve.subdivision_stack(depth).reshape(-1, 2), 2)
-                hausdorff_distance(chain, dense)
-                hausdorff_distance(dense, chain)
-    assert len(per_direction) == 9 * len(ALPHAS) * 4 * 4
-    assert max(per_direction) <= 2, sorted(set(per_direction))
+                for x, y in ((chain, dense), (dense, chain)):
+                    calls.clear()
+                    hausdorff_distance(x, y)
+                    per_distance.append(len(calls))
+    assert len(per_distance) == 9 * len(ALPHAS) * 4 * 2
+    assert max(per_distance) <= 2, sorted(set(per_distance))
 
 
 def _fuzzed_pair(rng, dim):
@@ -1026,6 +1051,62 @@ def test_culling_keeps_a_chunk_that_only_rounding_reaches():
         path = np.vstack([chain[::16], [[end, 0.0][:dim]]])  # one block of points
         assert hausdorff_distance(path, chain) == reference_hausdorff(path, chain)
         assert hausdorff_distance(chain, path) == reference_hausdorff(chain, path)
+
+
+def _one_sided_pair(dim):
+    """Samples of a diagonal segment, and a shifted copy of its first half: the
+    vertices of the first lie up to half the segment from the second, those of
+    the second only the shift from the first."""
+    line = np.linspace(0.0, 1.0, 300)[:, None] * np.linspace(1.0, 0.5, dim)
+    return line, line[:150:3] + 0.01
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pooled_hausdorff_matches_the_oracle_whichever_direction_is_larger(dim):
+    long, short = _one_sided_pair(dim)
+    forward = reference_min_dist_to_polyline(long, short).max()
+    backward = reference_min_dist_to_polyline(short, long).max()
+    assert forward > 10 * backward  # the larger direction starts at the first argument
+    assert hausdorff_distance(long, short) == hausdorff_distance(short, long) == forward
+    for a, b in ((long, short), (short, long), (long[::-1], short), (short, long[::-1])):
+        assert hausdorff_distance(a, b) == reference_hausdorff(a, b)
+        doubled = np.repeat(a, 2, axis=0)  # duplicate vertices: zero-length segments
+        assert hausdorff_distance(doubled, b) == reference_hausdorff(doubled, b)
+        assert hausdorff_distance(b, doubled) == reference_hausdorff(b, doubled)
+        for x, y in ((a[:1], b), (a, b[:1]), (a[-1:], b[:1]), (a[:1], np.repeat(b[:1], 3, 0))):
+            # a single vertex on either side, or on both
+            assert hausdorff_distance(x, y) == reference_hausdorff(x, y)
+
+
+def test_pooled_hausdorff_block_meets_a_short_path_whole_and_a_long_one_by_chunks(monkeypatch):
+    # 20 vertices above a 600-vertex line: the largest bounds of both paths share
+    # one exact block, whose line vertices meet all 19 segments of the short
+    # path at once, while its short-path vertices meet only the line's nearby chunks
+    shapes = []
+    kernel = alphabezier.curve._segment_d2
+    monkeypatch.setattr(alphabezier.curve, "_segment_d2",
+                        lambda p, v0, *rest: shapes.append(v0.shape) or kernel(p, v0, *rest))
+    xs = np.linspace(0.0, 1.0, 600)
+    line = np.column_stack([xs, np.zeros_like(xs)])
+    short = np.column_stack([np.linspace(0.0, 1.0, 20), 0.05 + 0.02 * (np.arange(20) % 2)])
+    for dim in (1, 2, 3):
+        a, b = _in_dimension(short, dim), _in_dimension(line, dim)
+        for x, y in ((a, b), (b, a), (a[::-1], b), (b, a[::-1])):
+            shapes.clear()
+            assert hausdorff_distance(x, y) == reference_hausdorff(x, y)
+            assert (dim, 1, 19) in shapes, shapes  # all segments of the short path
+            assert any(s[1:] == (s[1], _HAUSDORFF_CHUNK) and s[1] > 1 for s in shapes), shapes
+
+
+def test_all_pairs_hausdorff_keeps_each_directions_vertices_apart():
+    # past the pruning limit each direction is searched on its own; the point's
+    # distance to the segment is 0, the segment's end lies 1e200 from the point,
+    # and the segment's own end against the segment overflows to NaN, so a
+    # block that mixed the two paths' vertices would report NaN
+    point, segment = np.array([[0.0, 0.0]]), np.array([[0.0, 0.0], [1e200, 0.0]])
+    with np.errstate(all="ignore"):
+        for a, b in ((point, segment), (segment, point), (segment[::-1], point)):
+            assert hausdorff_distance(a, b) == reference_hausdorff(a, b) == np.inf
 
 
 def test_hausdorff_rejects_mixed_dimensions():

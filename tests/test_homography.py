@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from alphabezier import INFINITY, ArgumentError, DomainError, HomographyMap, Side
+from alphabezier.homography import _clamp
 from helpers import (
     EDGE_ALPHAS,
     EDGE_INTERVALS,
@@ -87,6 +88,26 @@ def test_domain_clamp_and_error():
         h.value(1.0 + 1e-9)
     with pytest.raises(DomainError):
         h.value(-1e-9)
+
+
+def test_array_clamp_keeps_the_bits_of_np_clip():
+    # the array path clamps with np.minimum(hi, np.maximum(lo, x)): in that
+    # argument order a zero meeting a zero end of the other sign, and every
+    # other value, comes out as np.clip gives it
+    values = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 0.25, 1.0, -1.0, 1e300])
+    ends = (0.0, -0.0, 1e-300, -1e-300, 0.5, 1.0, -1.0)
+    for lo, hi in ((lo, hi) for lo in ends for hi in ends if lo <= hi):
+        for x in (values, values[::-1], values[::3], np.tile(values, 7), values.reshape(2, 5),
+                  np.asarray(-0.0), np.asarray(0.0), values[:0]):
+            assert outcome(_clamp, x, lo, hi, math.inf, "x") == outcome(np.clip, x, lo, hi)
+    with pytest.raises(DomainError, match=r"^w=nan outside \[-0.0, 0.0\]$"):
+        _clamp(np.array([-0.0, np.nan, 2.0]), -0.0, 0.0, math.inf, "w")
+    with pytest.raises(DomainError, match=r"^w=2.0 outside \[0.0, 1.0\]$"):
+        _clamp(np.array([0.5, 2.0, np.nan]), 0.0, 1.0, 1e-12, "w")
+    with pytest.raises(DomainError, match=r"^w=1.000000001 outside \[0.0, 1.0\]$"):
+        _clamp(np.array([0.5, 1.0 + 1e-13, 1.000000001]), 0.0, 1.0, 1e-12, "w")
+    with pytest.raises(DomainError, match=r"^w=-1e-09 outside \[-0.0, 1.0\]$"):
+        _clamp(np.array([[0.0, 1.0], [-1e-9, 0.5]]), -0.0, 1.0, 1e-12, "w")
 
 
 @given(any_alpha, intervals, unit, unit)
