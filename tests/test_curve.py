@@ -1076,6 +1076,8 @@ def test_pooled_hausdorff_matches_the_oracle_whichever_direction_is_larger(dim):
         for x, y in ((a[:1], b), (a, b[:1]), (a[-1:], b[:1]), (a[:1], np.repeat(b[:1], 3, 0))):
             # a single vertex on either side, or on both
             assert hausdorff_distance(x, y) == reference_hausdorff(x, y)
+            with pytest.raises(ArgumentError, match="^paths have point dimensions"):
+                hausdorff_distance(x, np.hstack([y, y]))
 
 
 def test_pooled_hausdorff_block_meets_a_short_path_whole_and_a_long_one_by_chunks(monkeypatch):
