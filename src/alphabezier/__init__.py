@@ -28,8 +28,6 @@ from .curve import (
     DeCasteljauTableau,
     EndpointTangents,
     SubdivisionResult,
-    densify_polyline,
-    hausdorff_distance,
     index_invariance,
     make_curve,
     reindexed,
@@ -41,6 +39,7 @@ from .errors import (
     SolveError,
     ValidationError,
 )
+from .hausdorff import densify_polyline, hausdorff_distance
 from .homography import INFINITY, HomographyMap, SegmentReparam, Side
 from .presets import PRESET_POLYGONS, preset_polygon
 

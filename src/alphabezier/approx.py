@@ -2,8 +2,9 @@
 
 Linear independence makes each basis family an approximation space; two
 small fitters put that to work: interpolation at the basis peak locations
-(a well-separated, index-aware node set at which the collocation matrix
-is comfortably nonsingular) and discrete least squares on a uniform grid.
+(an index-aware node set at which the collocation matrix is nonsingular, its
+2-norm condition number growing with the degree: 4.8e7 at 20, 8.7e11 at 30)
+and discrete least squares on a uniform grid.
 Neither is a convergence-rate study; they exist to measure errors.
 The target f is called once per point, with a Python float.
 """

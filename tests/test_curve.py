@@ -25,8 +25,9 @@ from alphabezier import (
 import alphabezier
 import alphabezier.cli
 import alphabezier.curve
+import alphabezier.hausdorff
 import alphabezier.svg
-from alphabezier.curve import _HAUSDORFF_CHUNK
+from alphabezier.hausdorff import _HAUSDORFF_CHUNK
 from helpers import (
     EDGE_ALPHAS,
     EDGE_INTERVALS,
@@ -426,7 +427,8 @@ def test_tracer_wraps_and_restores_the_traced_curve_names(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmark"))
     import tracing
     tracer = tracing.Tracer(alphabezier, tracing.Recorder())
-    owners = [vars(mod) for mod in tracer._modules()] + [alphabezier.cli.DISPATCH] + [
+    owners = [vars(mod) for mod in tracer._modules()] + [
+        vars(alphabezier.hausdorff), alphabezier.cli.DISPATCH] + [
         getattr(getattr(alphabezier, layer), cls_name).__dict__
         for layer, cls_name, _ in tracing._TARGETS if cls_name is not None]
     before = [dict(owner) for owner in owners]
@@ -435,12 +437,17 @@ def test_tracer_wraps_and_restores_the_traced_curve_names(monkeypatch):
         curve = alphabezier.make_curve(preset_polygon("g"), 2.0)
         curve.subdivide_recursive(2)
         curve.subdivide(0.3)
+        # as the geometry op calls them: through the package
+        chain = alphabezier.densify_polyline(curve.subdivision_stack(2).reshape(-1, 2), 2)
+        alphabezier.hausdorff_distance(chain, curve.samples(np.linspace(0.0, 1.0, 9)))
     finally:
         tracer.restore()
+    opened = {tracer.rec.names[nid] for nid in tracer.rec.nid}  # spans that ran
     assert {"curve.make_curve", "curve.BezierCurve.subdivide_recursive",
+            "curve.densify_polyline", "curve.hausdorff_distance",
             "curve.BezierCurve.subdivide", "curve.BezierCurve.tableau",
             "curve.DeCasteljauTableau.left_points",
-            "curve.DeCasteljauTableau.right_points"} <= set(tracer.rec.names)
+            "curve.DeCasteljauTableau.right_points"} <= opened
     for owner, saved in zip(owners, before):
         assert dict(owner).keys() == saved.keys()
         assert all(owner[key] is value for key, value in saved.items())
@@ -855,8 +862,8 @@ def test_hausdorff_of_opposite_paths_keeps_tight_bounds(monkeypatch):
     # a path that runs against the chain takes its arc-length guesses from the
     # chain's far end, so it needs no more kernel passes than the forward pair
     calls = []
-    kernel = alphabezier.curve._segment_d2
-    monkeypatch.setattr(alphabezier.curve, "_segment_d2",
+    kernel = alphabezier.hausdorff._segment_d2
+    monkeypatch.setattr(alphabezier.hausdorff, "_segment_d2",
                         lambda *args: calls.append(1) or kernel(*args))
     curve = make_curve(preset_polygon("c"), 2.0)
     dense = curve.samples(np.linspace(0.0, 1.0, 3000))
@@ -872,10 +879,12 @@ def test_hausdorff_of_opposite_paths_keeps_tight_bounds(monkeypatch):
 def test_hausdorff_takes_one_bound_and_one_exact_block_for_both_directions(monkeypatch):
     # the geometry benchmark's inputs: every preset and index, the chain at
     # depths 6-9 densified twice against 512 curve samples, in both orders;
-    # the vertices of both paths share one bound pass and one exact block
+    # the vertices of both paths share one bound pass and one exact block.
+    # A single vertex, on either side or on both, is one zero-length segment
+    # and takes the same two passes
     calls, per_distance = [], []
-    kernel = alphabezier.curve._segment_d2
-    monkeypatch.setattr(alphabezier.curve, "_segment_d2",
+    kernel = alphabezier.hausdorff._segment_d2
+    monkeypatch.setattr(alphabezier.hausdorff, "_segment_d2",
                         lambda *args: calls.append(1) or kernel(*args))
     for name in "abcdefghi":
         for alpha in ALPHAS:
@@ -883,11 +892,12 @@ def test_hausdorff_takes_one_bound_and_one_exact_block_for_both_directions(monke
             dense = curve.samples(np.linspace(0.0, 1.0, 512))
             for depth in (6, 7, 8, 9):
                 chain = densify_polyline(curve.subdivision_stack(depth).reshape(-1, 2), 2)
-                for x, y in ((chain, dense), (dense, chain)):
+                for x, y in ((chain, dense), (dense, chain), (chain[:1], dense),
+                             (chain, dense[-1:]), (chain[-1:], dense[:1])):
                     calls.clear()
                     hausdorff_distance(x, y)
                     per_distance.append(len(calls))
-    assert len(per_distance) == 9 * len(ALPHAS) * 4 * 2
+    assert len(per_distance) == 9 * len(ALPHAS) * 4 * 5
     assert max(per_distance) <= 2, sorted(set(per_distance))
 
 
@@ -1082,22 +1092,29 @@ def test_pooled_hausdorff_matches_the_oracle_whichever_direction_is_larger(dim):
 
 def test_pooled_hausdorff_block_meets_a_short_path_whole_and_a_long_one_by_chunks(monkeypatch):
     # 20 vertices above a 600-vertex line: the largest bounds of both paths share
-    # one exact block, whose line vertices meet all 19 segments of the short
-    # path at once, while its short-path vertices meet only the line's nearby chunks
-    shapes = []
-    kernel = alphabezier.curve._segment_d2
-    monkeypatch.setattr(alphabezier.curve, "_segment_d2",
-                        lambda p, v0, *rest: shapes.append(v0.shape) or kernel(p, v0, *rest))
+    # one exact block, which gathers the chunks each vertex hits; the short
+    # path's 19 segments are one chunk, padded with its last segment, that the
+    # line vertices meet whole, while the short-path vertices meet only the
+    # line's nearby chunks
+    v0s = []
+    kernel = alphabezier.hausdorff._segment_d2
+    monkeypatch.setattr(alphabezier.hausdorff, "_segment_d2",
+                        lambda p, v0, *rest: v0s.append(v0) or kernel(p, v0, *rest))
     xs = np.linspace(0.0, 1.0, 600)
     line = np.column_stack([xs, np.zeros_like(xs)])
     short = np.column_stack([np.linspace(0.0, 1.0, 20), 0.05 + 0.02 * (np.arange(20) % 2)])
     for dim in (1, 2, 3):
         a, b = _in_dimension(short, dim), _in_dimension(line, dim)
         for x, y in ((a, b), (b, a), (a[::-1], b), (b, a[::-1])):
-            shapes.clear()
+            v0s.clear()
             assert hausdorff_distance(x, y) == reference_hausdorff(x, y)
-            assert (dim, 1, 19) in shapes, shapes  # all segments of the short path
-            assert any(s[1:] == (s[1], _HAUSDORFF_CHUNK) and s[1] > 1 for s in shapes), shapes
+            bound, *exact = v0s
+            assert bound.shape == (dim, 620)  # one bound per vertex of either path
+            assert exact and all(v0.shape[2:] == (_HAUSDORFF_CHUNK,) for v0 in exact)
+            path = x if len(x) == 20 else y
+            whole = np.vstack([path[:-1], np.repeat(path[-2:-1], _HAUSDORFF_CHUNK - 19, 0)]).T
+            assert any(np.array_equal(v0[:, k], whole) for v0 in exact for k in range(v0.shape[1]))
+            assert any(v0.shape[1] > 1 for v0 in exact)  # chunks gathered for several vertices
 
 
 def test_all_pairs_hausdorff_keeps_each_directions_vertices_apart():
@@ -1114,6 +1131,16 @@ def test_all_pairs_hausdorff_keeps_each_directions_vertices_apart():
 def test_hausdorff_rejects_mixed_dimensions():
     with pytest.raises(ArgumentError):
         hausdorff_distance(np.zeros((3, 2)), np.zeros((4, 3)))
+
+
+def test_hausdorff_and_densify_name_a_path_of_more_than_two_dimensions():
+    cube, pts = np.zeros((3, 2, 2)), np.zeros((3, 2))
+    with pytest.raises(ArgumentError, match="^path_a must be a 1-D or 2-D array"):
+        hausdorff_distance(cube, pts)
+    with pytest.raises(ArgumentError, match="^path_b must be a 1-D or 2-D array"):
+        hausdorff_distance(pts, cube)
+    with pytest.raises(ArgumentError, match="^points must be a 1-D or 2-D array"):
+        densify_polyline(cube, 2)
 
 
 def test_hausdorff_rejects_a_path_without_points():
