@@ -321,43 +321,42 @@ def cmd_fit(config: JobConfig) -> Result:
                   [colloc.coefficients[:, None], lsq.coefficients[:, None]], results)
 
 
-def _random_spec(rng: np.random.Generator) -> BasisSpec:
-    a = rng.uniform(-5.0, 5.0)
-    b = a + rng.uniform(0.5, 10.0)
-    kind = rng.integers(0, 3)
-    if kind == 0:
-        alpha = rng.uniform(-6.0, -1.0)
-    elif kind == 1:
-        alpha = rng.uniform(2.0, 7.0)
-    else:
-        alpha = INFINITY
-    return BasisSpec(rng.integers(1, 9), HomographyMap(a, b, alpha))
+def _selftest_draws(rng: np.random.Generator, draws: int) -> list:
+    """(spec, x, polygon) for each of a check's draws, from one generator call
+    per parameter; x is uniform on the spec's interval, and the first
+    degree + 1 rows of the (9, 2) polygon block are the curve's control points."""
+    a = rng.uniform(-5.0, 5.0, draws)
+    b = a + rng.uniform(0.5, 10.0, draws)
+    kind = rng.integers(0, 3, draws)
+    alpha = np.where(kind == 0, rng.uniform(-6.0, -1.0, draws),
+                     np.where(kind == 1, rng.uniform(2.0, 7.0, draws), INFINITY))
+    specs = [BasisSpec(n, HomographyMap(lo, hi, al)) for n, lo, hi, al in
+             zip(rng.integers(1, 9, draws).tolist(), a.tolist(), b.tolist(), alpha.tolist())]
+    return list(zip(specs, rng.uniform(a, b).tolist(), rng.uniform(-5.0, 5.0, (draws, 9, 2))))
 
 
-def _partition_residual(spec: BasisSpec, rng: np.random.Generator) -> float:
-    return abs(spec.values(rng.uniform(spec.a, spec.b)).sum() - 1.0)
+def _partition_residual(spec: BasisSpec, x: float, polygon: np.ndarray) -> float:
+    return abs(float(spec.values(x).sum()) - 1.0)
 
 
-def _recursion_residual(spec: BasisSpec, rng: np.random.Generator) -> float:
-    x = rng.uniform(spec.a, spec.b)
+def _recursion_residual(spec: BasisSpec, x: float, polygon: np.ndarray) -> float:
     return float(np.abs(spec.values(x) - spec.values_recursive(x)).max())
 
 
-def _decasteljau_residual(spec: BasisSpec, rng: np.random.Generator) -> float:
-    curve = BezierCurve(ControlPolygon(rng.uniform(-5.0, 5.0, size=(spec.degree + 1, 2))), spec)
-    x = rng.uniform(spec.a, spec.b)
+def _decasteljau_residual(spec: BasisSpec, x: float, polygon: np.ndarray) -> float:
+    curve = BezierCurve(ControlPolygon(polygon[:spec.degree + 1]), spec)
     apex, _ = curve.decasteljau(x)
-    return float(np.linalg.norm(apex - curve.point(x))) / curve.polygon.diameter()
+    # the norm of the difference in a fixed order, without BLAS
+    return math.hypot(*(apex - curve.point(x)).tolist()) / curve.polygon.diameter()
 
 
-def _round_trip_residual(spec: BasisSpec, rng: np.random.Generator) -> float:
+def _round_trip_residual(spec: BasisSpec, x: float, polygon: np.ndarray) -> float:
     h = spec.homography
-    x = rng.uniform(h.a, h.b)
     return abs(h.inverse(h.value(x)) - x) / h.width
 
 
-#: (name, draws, residual at one random spec, tolerance); the checks run in
-#: this order on one seeded generator.
+#: (name, draws, residual at one draw of ``_selftest_draws``, tolerance); the
+#: checks run in this order on one seeded generator.
 SELFTEST_CHECKS = (
     ("partition_of_unity", 200, _partition_residual, 1e-12),
     ("recursion_matches_closed_form", 200, _recursion_residual, 1e-13),
@@ -371,7 +370,7 @@ def cmd_selftest(config: JobConfig) -> None:
     rng = np.random.default_rng(config.seed)
     entries = []
     for name, draws, residual, tol in SELFTEST_CHECKS:
-        worst = float(np.max([residual(_random_spec(rng), rng) for _ in range(draws)]))
+        worst = float(np.max([residual(*draw) for draw in _selftest_draws(rng, draws)]))
         entries.append({"name": name, "max_residual": worst, "tolerance": tol,
                         "pass": bool(worst <= tol)})
     report = {"seed": config.seed, "checks": entries,

@@ -148,6 +148,17 @@ def test_classical_limit_of_large_index():
             assert np.abs(big.values(x) - inf.values(x)).max() <= 1e-6
 
 
+@pytest.mark.parametrize("n", [1, 6, 20, 60])
+def test_classical_limit_is_reached_at_rate_one_over_alpha(n):
+    # |alpha| * max |B_i(alpha) - B_i(inf)| over 201 points of [0, 1] stays flat
+    # from |alpha| = 1e2 to 1e8; its largest value, 0.3654, is at alpha = 1e2, n = 60
+    xs = np.linspace(0.0, 1.0, 201)
+    classical = spec_for(n, INFINITY).values(xs)
+    for alpha in (1e2, -1e2, 1e4, -1e4, 1e8, -1e8):
+        gap = float(np.abs(spec_for(n, alpha).values(xs) - classical).max())
+        assert abs(alpha) * gap <= 0.37, (alpha, gap)
+
+
 def test_rationality_degree_bound():
     # B_i times D(x)**n is a polynomial of degree <= n: a fit through n+1
     # nodes must reproduce a held-out sample

@@ -550,9 +550,9 @@ GOLDEN_DIGESTS = {
     "elevate-3d-file.csv": "1cde3835bacd5388b12b26520a7577c99c2d579063572a42f346d26b9a90e6a6",
     "elevate-3d-file.json": "50cb85ec7560d07bc2e1b1bbafca7a65deded10ddc89b2356c1c76f812543729",
     "elevate-3d-file.svg": "2d436118ace3a35f9c22ddc6dd126bcbb1fa5aae302d726d8eb53023e6ef8f6e",
-    "selftest.csv": "6a73e2a9fadc1389d4f3172d07d7a64c41b689204ccd2e566b1881905ed6c176",
-    "selftest.json": "6a73e2a9fadc1389d4f3172d07d7a64c41b689204ccd2e566b1881905ed6c176",
-    "selftest.svg": "6a73e2a9fadc1389d4f3172d07d7a64c41b689204ccd2e566b1881905ed6c176",
+    "selftest.csv": "10e9f5a8b1739031e2553cb99cddc9f2f567b9c7e0f09104d189101aeb14d041",
+    "selftest.json": "10e9f5a8b1739031e2553cb99cddc9f2f567b9c7e0f09104d189101aeb14d041",
+    "selftest.svg": "10e9f5a8b1739031e2553cb99cddc9f2f567b9c7e0f09104d189101aeb14d041",
 }
 
 
@@ -689,3 +689,60 @@ def test_failing_self_test_writes_its_report_and_exits_1(tmp_path, monkeypatch, 
     assert report["pass"] is False
     assert [check["pass"] for check in report["checks"]] == [False, True, True, True]
     assert "self test failed" in capsys.readouterr().err
+
+
+class _CountingGenerator:
+    """A numpy Generator that counts the method calls made on it."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def test_self_test_makes_the_same_few_generator_calls_per_check_for_any_draws(
+        tmp_path, monkeypatch):
+    # one call per drawn parameter, however many draws: a per-draw call would
+    # make the count grow with draws
+    made = []
+    real = np.random.default_rng
+
+    def counting_rng(seed):
+        made.append(_CountingGenerator(real(seed)))
+        return made[-1]
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    config = parse_config(["--command", "selftest", "--out", str(tmp_path / "self.json")])
+    counts = set()
+    for name, _, residual, tol in cli.SELFTEST_CHECKS:
+        for draws in (1, 7, 200):
+            monkeypatch.setattr(cli, "SELFTEST_CHECKS", ((name, draws, residual, tol),))
+            cli.cmd_selftest(config)
+            counts.add(made[-1].calls)
+    assert len(counts) == 1 and counts.pop() <= 8
+
+
+def test_batched_self_test_draws_pass_for_64_seeds(tmp_path, monkeypatch):
+    out = tmp_path / "self.json"
+    for seed in range(64):
+        monkeypatch.setenv("ALPHABEZIER_SEED", str(seed))
+        assert main(["--command", "selftest", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert [(c["name"], c["tolerance"]) for c in report["checks"]] == [
+            (name, tol) for name, _, _, tol in cli.SELFTEST_CHECKS]
+        assert all(c["pass"] and c["max_residual"] <= c["tolerance"] for c in report["checks"])
+
+        draws = cli._selftest_draws(np.random.default_rng(seed), 200)
+        alphas = [spec.homography.alpha for spec, _, _ in draws]
+        assert all(-6.0 <= al <= -1.0 or 2.0 <= al <= 7.0 or al == np.inf for al in alphas)
+        assert {"negative" if al < 0.0 else "positive" if al < np.inf else "inf"
+                for al in alphas} == {"negative", "positive", "inf"}
+        assert {spec.degree for spec, _, _ in draws} == set(range(1, 9))
+        assert all(spec.a <= x <= spec.b for spec, x, _ in draws)
+        assert all(polygon.shape == (9, 2) and np.isfinite(polygon).all()
+                   for _, _, polygon in draws)
