@@ -80,15 +80,6 @@ class JobConfig:
     seed: int
 
 
-def _parse_alpha_token(token: str) -> float:
-    if token.strip().lower() == "inf":
-        return INFINITY
-    try:
-        return float(token)
-    except ValueError:
-        raise ValidationError("alpha", f"cannot parse {token!r}") from None
-
-
 def _parse_interval(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -184,7 +175,10 @@ def parse_config(argv=None) -> JobConfig:
     if ns.alpha is None:
         alphas = DEFAULT_PANEL_ALPHAS if command == "basis" else (2.0,)
     else:  # never empty: an empty token fails to parse
-        alphas = tuple(_parse_alpha_token(tok) for tok in ns.alpha.split(","))
+        try:  # float reads inf, Infinity and -inf in any case, between spaces
+            alphas = tuple(map(float, ns.alpha.split(",")))
+        except ValueError as exc:  # its message quotes the bad token
+            raise ValidationError("alpha", str(exc)) from None
     if command != "basis" and len(alphas) != 1:
         raise ValidationError("alpha", f"{command} takes a single index value")
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .basis import BasisSpec, rowwise_dot
 from .errors import ArgumentError, SingularPointError, _check_count
+from .hausdorff import _binary_exponent
 from .hausdorff import densify_polyline, hausdorff_distance  # re-exported for benchmark/tracing.py
 from .homography import HomographyMap
 
@@ -79,9 +80,12 @@ class ControlPolygon:
         return self.points.shape[1]
 
     def diameter(self) -> float:
-        """Largest pairwise distance between control points."""
-        diff = self.points[:, None, :] - self.points[None, :, :]
-        return float(np.sqrt((diff**2).sum(-1).max()))
+        """Largest pairwise distance between control points, taken as for
+        ``hausdorff_distance`` on points scaled by 2**-e into [1, 2) in magnitude."""
+        e = _binary_exponent(np.abs(self.points).max())
+        pts = self.points * 2.0**-e
+        diff = pts[:, None, :] - pts[None, :, :]
+        return math.sqrt((diff**2).sum(-1).max()) * 2.0**e
 
 
 @dataclass(frozen=True)

@@ -84,15 +84,16 @@ def test_csv_and_json_are_deterministic(tmp_path):
 
 
 def test_basis_json_round_trips(tmp_path):
-    code, out = run(tmp_path, "basis.json",
-                    "--command", "basis", "--degree", "2", "--alpha=-1,inf",
-                    "--samples", "9", "--format", "json")
-    assert code == 0
-    payload = json.loads(out.read_text())
-    assert set(payload) == {"params", "samples", "polygons"}
-    assert payload["params"]["alpha"] == [-1.0, "inf"]
-    assert json.dumps(payload, indent=2) + "\n" == out.read_text()
-    assert len(payload["samples"]) == 18
+    for spelling in ("inf", " INF ", "Infinity", "-inf"):  # float reads them all
+        code, out = run(tmp_path, "basis.json",
+                        "--command", "basis", "--degree", "2", f"--alpha=-1,{spelling}",
+                        "--samples", "9", "--format", "json")
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert set(payload) == {"params", "samples", "polygons"}
+        assert payload["params"]["alpha"] == [-1.0, "inf"]
+        assert json.dumps(payload, indent=2) + "\n" == out.read_text()
+        assert len(payload["samples"]) == 18
 
 
 def test_curve_json_matches_library(tmp_path):
@@ -215,6 +216,13 @@ def test_selftest_honors_seed_env(tmp_path, monkeypatch, capsys):
 def test_validation_failures_exit_2(tmp_path, args):
     code = main([*args, "--out", str(tmp_path / "x.svg")])
     assert code == 2
+
+
+def test_unparseable_alpha_names_alpha_and_the_token(tmp_path):
+    for token in ("oops", "", "in f"):
+        with pytest.raises(ValidationError, match=f"{token!r}$") as info:
+            parse_config(["--command", "basis", f"--alpha=2,{token}", "--out", str(tmp_path / "x.svg")])
+        assert info.value.field == "alpha"
 
 
 @pytest.mark.parametrize("interval", ["0,inf", "-1e308,1e308", "0,5e-324"])

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,17 @@ def test_polygon_accepts_scalars_as_1d():
     assert poly.dim == 1
     assert poly.degree == 2
     assert poly.diameter() == 3.0
+
+
+def test_diameter_keeps_every_bit_at_every_magnitude():
+    # squaring raw coordinates gave 0.0 for the 3-4-5 polygon at 1e-170 and
+    # inf at 1e160; scaled by a power of two the diameter scales exactly
+    pts = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]])
+    for j in (-1000, -565, 0, 532, 1000):
+        assert ControlPolygon(2.0**j * pts).diameter() == 2.0**j * 5.0
+    assert ControlPolygon(1e-170 * pts).diameter() == pytest.approx(5e-170, rel=1e-15)
+    assert ControlPolygon(1e160 * pts).diameter() == pytest.approx(5e160, rel=1e-15)
+    assert ControlPolygon([[-1e308], [1e308]]).diameter() == np.inf  # no warning
 
 
 def test_polygon_is_immutable():
@@ -921,15 +933,27 @@ def _fuzzed_pair(rng, dim):
     return a, a[rng.integers(0, m, k)] + 1e-3 * rng.standard_normal((k, dim))
 
 
+def _assert_scale_covariant(x, y):
+    """Both paths scaled by 2**j, tiny or huge, give 2**j times the unit-scale
+    oracle's distance bit for bit, where the oracle's own squares would
+    underflow or overflow."""
+    want = reference_hausdorff(x, y)
+    for j in (-1000, -500, 500, 1000):
+        assert hausdorff_distance(2.0**j * x, 2.0**j * y) == 2.0**j * want
+
+
 def test_hausdorff_matches_brute_force_oracle_on_fuzzed_paths():
     rng = np.random.default_rng(1313)
     for trial in range(90):
         dim = 1 + trial % 3
         a, b = _fuzzed_pair(rng, dim)
         scale = (1.0, 1e-300, 1e149)[trial // 3 % 3]
-        s = scale / max(np.abs(a).max(), np.abs(b).max(), 1e-300)
+        if scale == 1e-300:  # the oracle's squares underflow: scale by powers of two
+            for x, y in ((a, b), (b, a), (a[::-1], b), (a, b[::-1])):
+                _assert_scale_covariant(x, y)
+            continue
+        s = scale / max(np.abs(a).max(), np.abs(b).max())
         a, b = s * a, s * b
-        assert np.abs(np.vstack([a, b])).max() < 1e150  # the pruned search runs
         for x, y in ((a, b), (b, a), (a[::-1], b), (a, b[::-1])):
             assert hausdorff_distance(x, y) == reference_hausdorff(x, y)
         if trial % 4 == 0:  # a 1-D path as a flat array
@@ -938,19 +962,18 @@ def test_hausdorff_matches_brute_force_oracle_on_fuzzed_paths():
 
 def test_hausdorff_matches_brute_force_oracle_without_finite_bounds_on_fuzzed_paths():
     rng = np.random.default_rng(1314)
-    with np.errstate(all="ignore"):
-        for trial in range(36):
-            a, b = _fuzzed_pair(rng, 1 + trial % 3)
-            kind = trial // 3 % 4
-            if kind < 2:  # one NaN or inf coordinate on either side
-                x = (a, b)[trial % 2]
-                x[rng.integers(0, len(x)), rng.integers(0, x.shape[1])] = (np.nan, np.inf)[kind]
-            else:  # past the pruning limit, with squares finite or overflowing
-                s = (1e151, 1e200)[kind - 2] / max(np.abs(a).max(), np.abs(b).max())
-                a, b = s * a, s * b
+    for trial in range(36):
+        a, b = _fuzzed_pair(rng, 1 + trial % 3)
+        kind = trial // 3 % 4
+        if kind < 2:  # one NaN or inf coordinate on either side, named in the error
+            x = (a, b)[trial % 2]
+            x[rng.integers(0, len(x)), rng.integers(0, x.shape[1])] = (np.nan, np.inf)[kind]
+            for x, y, bad in ((a, b, trial % 2), (b, a, 1 - trial % 2), (a[::-1], b, trial % 2)):
+                with pytest.raises(ArgumentError, match=f"^path_{'ab'[bad]} has a NaN or infinite"):
+                    hausdorff_distance(x, y)
+        else:  # huge: the oracle's squares would overflow
             for x, y in ((a, b), (b, a), (a[::-1], b)):
-                assert np.array_equal(hausdorff_distance(x, y), reference_hausdorff(x, y),
-                                      equal_nan=True)
+                _assert_scale_covariant(x, y)
 
 
 def _farthest_point_behind_decoys():
@@ -985,14 +1008,13 @@ def test_hausdorff_without_finite_bounds_matches_brute_force_oracle():
     nan[17, 1] = np.nan
     inf = b.copy()
     inf[5, 0] = np.inf
-    # 1e151 is past the pruning limit but squares stay finite; 1e200 overflows
-    cases = ((1e151 * path, 1e151 * line), (1e200 * a, 1e200 * b),
-             (nan, b), (b, nan), (a, inf), (inf, a))
-    with np.errstate(all="ignore"):
-        for x, y in cases:
-            assert np.array_equal(hausdorff_distance(x, y), reference_hausdorff(x, y),
-                                  equal_nan=True)
-    assert hausdorff_distance(*cases[0]) == pytest.approx(0.100001e151, rel=1e-12)
+    for x, y in ((path, line), (a, b)):  # as far out as 2**1000, about 1e301
+        _assert_scale_covariant(x, y)
+    for x, y, bad in ((nan, b, "a"), (b, nan, "b"), (a, inf, "b"), (inf, a, "a"), (nan, inf, "a")):
+        with pytest.raises(ArgumentError, match=f"^path_{bad} has a NaN or infinite coordinate$"):
+            hausdorff_distance(x, y)
+    assert hausdorff_distance(1e151 * path, 1e151 * line) == pytest.approx(0.100001e151, rel=1e-12)
+    assert hausdorff_distance(1e-300 * path, 1e-300 * line) == pytest.approx(0.100001e-300, rel=1e-12)
 
 
 def _spiked_chain(segments):
@@ -1041,9 +1063,12 @@ def test_culled_hausdorff_matches_brute_force_oracle(dim, scale):
     for a, b in _culling_cases():
         a = _in_dimension(a, dim)
         b = _in_dimension(b, dim)
+        if scale == 1e-300:  # the oracle's squares underflow: scale by powers of two
+            _assert_scale_covariant(a, b)
+            _assert_scale_covariant(b, a[::-1])
+            continue
         s = scale / max(np.abs(a).max(), np.abs(b).max()) if scale != 1.0 else 1.0
         a, b = s * a, s * b
-        assert np.abs(np.vstack([a, b])).max() < 1e150  # the pruned, culled search runs
         assert hausdorff_distance(a, b) == reference_hausdorff(a, b)
         assert hausdorff_distance(b, a[::-1]) == reference_hausdorff(b, a[::-1])
 
@@ -1118,14 +1143,20 @@ def test_pooled_hausdorff_block_meets_a_short_path_whole_and_a_long_one_by_chunk
 
 
 def test_all_pairs_hausdorff_keeps_each_directions_vertices_apart():
-    # past the pruning limit each direction is searched on its own; the point's
-    # distance to the segment is 0, the segment's end lies 1e200 from the point,
-    # and the segment's own end against the segment overflows to NaN, so a
-    # block that mixed the two paths' vertices would report NaN
+    # the point's distance to the segment is 0 and the segment's end lies 1e200
+    # from the point, whose square overflows unless scaled; a vertex that met
+    # its own path's segments would report 0
     point, segment = np.array([[0.0, 0.0]]), np.array([[0.0, 0.0], [1e200, 0.0]])
-    with np.errstate(all="ignore"):
-        for a, b in ((point, segment), (segment, point), (segment[::-1], point)):
-            assert hausdorff_distance(a, b) == reference_hausdorff(a, b) == np.inf
+    for a, b in ((point, segment), (segment, point), (segment[::-1], point)):
+        assert hausdorff_distance(a, b) == 1e200
+
+
+def test_hausdorff_overflows_to_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in (([-1e308], [1e308]), ([[-1e308, 0.0]], [[1e308, 1.0]]),
+                     ([-1e308, 1e308], [1e308]), ([1e308], [-1e308, 1e308])):
+            assert hausdorff_distance(a, b) == np.inf
 
 
 def test_hausdorff_rejects_mixed_dimensions():
