@@ -345,7 +345,10 @@ def index_invariance(curve: BezierCurve, other: BezierCurve,
     parameter correspondence y = g_inverse(f(x)).
 
     For curves built from the same polygon the deviation is roundoff only,
-    which is the index-independence of the traced point set.
+    which is the index-independence of the traced point set.  The point
+    differences are scaled by 2**-e into [1, 2) in magnitude before they are
+    squared, as in ``ControlPolygon.diameter``, so the result scales exactly
+    with the polygon at any magnitude.
     """
     if len(curve.polygon) != len(other.polygon):
         raise ArgumentError("curves must share control polygons of equal length")
@@ -354,5 +357,7 @@ def index_invariance(curve: BezierCurve, other: BezierCurve,
     xs = np.linspace(curve.a, curve.b, _check_count("samples", samples, 1))
     ys = g.inverse_pair(*f.weights(xs))
     diff = curve.samples(xs) - other.samples(ys)
+    e = _binary_exponent(np.abs(diff).max())
+    diff *= 2.0**-e
     dist = np.sqrt(rowwise_dot(diff, diff[:, :, None])[:, 0])  # rounds like np.linalg.norm
-    return CorrespondenceReport(float(dist.max()), xs, ys)
+    return CorrespondenceReport(float(dist.max()) * 2.0**e, xs, ys)

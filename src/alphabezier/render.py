@@ -4,6 +4,9 @@
 file; nothing here reads arguments or touches a file.  Numbers are written in
 shortest round-trip form, JSON byte-identical to ``json.dumps(indent=2)``,
 and SVG through the ``svg`` element writers, looked up as ``svg.<name>``.
+Each SVG figure maps all of its points to pixels in one transformer pass and
+formats them in one ``svg.point_runs`` pass, the exact ``'%.4f'`` text;
+each polyline and circle is cut out of that text.
 """
 
 from __future__ import annotations
@@ -147,15 +150,21 @@ def _planar(points: np.ndarray) -> np.ndarray:
     return pts[:, :2]
 
 
-def _graph(xs: np.ndarray, matrix: np.ndarray, bbox, colors, title: str,
-           width: float, height: float) -> list[str]:
-    """One framed plot of every matrix column against xs."""
+def _graphs(xs: np.ndarray, matrices: list[np.ndarray], bbox, colors, titles,
+            width: float, height: float) -> list[list[str]]:
+    """One framed plot per matrix, of each column against xs.
+
+    All plots share one pixel map: their pixels come from one transformer
+    pass and are formatted in one ``svg.point_runs`` pass.
+    """
     to_px = svg.transformer(bbox, width, height)
-    elements = [svg.rect(0.0, 0.0, width, height)]
-    for column, color in zip(matrix.T, colors):
-        elements.append(svg.polyline(np.column_stack(to_px(xs, column)), color))
-    elements.append(svg.text(8.0, 16.0, title))
-    return elements
+    count = matrices[0].shape[1]
+    pixels = np.empty((len(matrices), count, len(xs), 2))  # (plot, column, sample, X/Y)
+    pixels[..., 0], pixels[..., 1] = to_px(xs, np.stack(matrices).transpose(0, 2, 1))
+    runs = svg.point_runs(pixels, [len(xs)] * (len(matrices) * count))
+    return [[svg.rect(0.0, 0.0, width, height),
+             *map(svg.polyline_at, runs[k * count:(k + 1) * count], colors),
+             svg.text(8.0, 16.0, title)] for k, title in enumerate(titles)]
 
 
 def _basis_panels(result: Result) -> str:
@@ -164,11 +173,11 @@ def _basis_panels(result: Result) -> str:
     colors = [svg.PALETTE[i % len(svg.PALETTE)] for i in range(len(result.columns))]
     cols = 2 if len(result.tables) > 1 else 1
     rows = (len(result.tables) + cols - 1) // cols
-    parts = []
-    for k, (alpha, matrix) in enumerate(result.tables):
-        panel = _graph(result.xs, matrix, (a, b, 0.0, 1.0), colors,
-                       f"alpha = {alpha_text(alpha)}", panel_w, panel_h)
-        parts.append(svg.group(panel, (k % cols) * (panel_w + gap), (k // cols) * (panel_h + gap)))
+    panels = _graphs(result.xs, [matrix for _, matrix in result.tables], (a, b, 0.0, 1.0),
+                     colors, [f"alpha = {alpha_text(alpha)}" for alpha, _ in result.tables],
+                     panel_w, panel_h)
+    parts = [svg.group(panel, (k % cols) * (panel_w + gap), (k // cols) * (panel_h + gap))
+             for k, panel in enumerate(panels)]
     return svg.document(cols * panel_w + (cols - 1) * gap, rows * panel_h + (rows - 1) * gap,
                         parts)
 
@@ -177,8 +186,8 @@ def _fit_figure(result: Result) -> str:
     width, height = 640.0, 480.0
     matrix = result.tables[0][1]
     bbox = svg.data_bbox([np.column_stack([result.xs, column]) for column in matrix.T])
-    elements = _graph(result.xs, matrix, bbox, ("#999999", "#1f77b4", "#d62728"),
-                      f"target = {result.params['target']}", width, height)
+    [elements] = _graphs(result.xs, [matrix], bbox, ("#999999", "#1f77b4", "#d62728"),
+                         [f"target = {result.params['target']}"], width, height)
     return svg.document(width, height, elements)
 
 
@@ -187,17 +196,18 @@ def _curve_figure(result: Result) -> str:
     dashed_first = result.params["command"] != "subdivide"
     width, height = 640.0, 480.0
     curve_pts = _planar(result.tables[0][1])
-    polygons = [_planar(poly) for poly in result.polygons]
-    to_px = svg.transformer(svg.data_bbox(polygons + [curve_pts]), width, height)
+    planar = [_planar(poly) for poly in result.polygons] + [curve_pts]
+    to_px = svg.transformer(svg.data_bbox(planar), width, height)
+    # every polygon and the curve in one transformer pass and one formatting pass
+    *runs, curve = svg.point_runs(np.column_stack(to_px(*np.concatenate(planar).T)),
+                                  [len(points) for points in planar])
     elements = [svg.rect(0.0, 0.0, width, height)]
-    for k, planar in enumerate(polygons):
-        pixels = np.column_stack(to_px(*planar.T))
+    for k, points in enumerate(runs):
         dashed = dashed_first and k == 0
         color = "#999999" if dashed else svg.PALETTE[k % len(svg.PALETTE)]
-        elements.append(svg.polyline(pixels, color, 1.0, "6,4" if dashed else None))
-        for x, y in pixels.tolist():
-            elements.append(svg.circle(x, y, 2.5, color))
-    elements.append(svg.polyline(np.column_stack(to_px(*curve_pts.T)), "#1f77b4", 2.0))
+        elements.append(svg.polyline_at(points, color, 1.0, "6,4" if dashed else None))
+        elements.extend(svg.circles_at(points, 2.5, color))
+    elements.append(svg.polyline_at(curve, "#1f77b4", 2.0))
     return svg.document(width, height, elements)
 
 

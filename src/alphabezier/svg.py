@@ -3,8 +3,11 @@
 Only what the CLI figures need: polylines, circles, text and translated
 groups, with fixed-precision coordinates so identical inputs produce
 byte-identical files.  Pixels are computed a whole coordinate array at a
-time: the ``transformer`` closure takes arrays as well as floats, and
-``polyline`` formats an (m, 2) array of pixels in one pass.
+time: the ``transformer`` closure takes arrays as well as floats.  A figure
+formats all of its pixels in one ``point_runs`` call, one pass of the numpy
+kernel ``_fixed4`` that writes the exact ``'%.4f'`` text of every entry,
+and cuts each polyline's and circle's text out of that one string.
+``_fmt`` writes the few scalars and is the kernel's reference.
 """
 
 from __future__ import annotations
@@ -22,6 +25,93 @@ MARGIN, TEXT_SIZE, TEXT_FILL, RECT_STROKE = 0.05, 12, "#333333", "#cccccc"
 
 def _fmt(v: float) -> str:
     return f"{v:.4f}"
+
+
+# ``_fixed4`` writes each entry as two 8-byte words, joined and compacted by
+# dropping the NUL bytes: the integer part, right-aligned and with its sign
+# (row q + 10**4 of ``_WHOLE`` is -q), then ".dddd" and a separator.
+_DIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, 10_000).T + np.uint8(ord("0"))
+_WHOLE_BYTES = np.zeros((2, 10_000, 8), np.uint8)
+_WHOLE_BYTES[:, :, 4:] = _DIGITS
+_WHOLE_BYTES[:, :1000, 4] = _WHOLE_BYTES[:, :100, 5] = _WHOLE_BYTES[:, :10, 6] = 0
+_WHOLE_BYTES[1, :10, 6] = _WHOLE_BYTES[1, 10:100, 5] = ord("-")
+_WHOLE_BYTES[1, 100:1000, 4] = _WHOLE_BYTES[1, 1000:, 3] = ord("-")
+_WHOLE = _WHOLE_BYTES.reshape(20_000, 8).view(np.uint64).ravel()
+_FRAC_BYTES = np.zeros((10_001, 8), np.uint8)
+_FRAC_BYTES[:-1, 0], _FRAC_BYTES[:-1, 1:5], _FRAC_BYTES[:, 5] = ord("."), _DIGITS, ord(",")
+_FRAC = _FRAC_BYTES.view(np.uint64).ravel()  # the last row is the separator alone
+_LENGTH = np.repeat([7, 8, 9, 10], [10, 90, 900, 9000])  # of q's entry: digits, ".dddd" and ","
+#: ``_fixed4`` writes an entry itself if its magnitude, rounded to 4 decimals,
+#: is below this; other entries, NaN and inf among them, go to ``'%.4f'``.
+_FIXED4_LIMIT = 1e4
+#: Rows per ``_fixed4`` block: its scratch arrays stay near 0.4 MiB for pairs.
+_FIXED4_BLOCK = 2048
+
+
+def _fixed4(values) -> tuple[str, np.ndarray]:
+    """The ``'%.4f'`` text of every entry of an (n, k) array, k >= 1.
+
+    Entries are joined by "," within a row, and each row ends in " ".
+    Returns the text and the end offset of each row in it.  The bytes are
+    written in blocks of ``_FIXED4_BLOCK`` rows and decoded once.
+
+    An entry is rounded half to even on its exact binary value, as
+    ``'%.4f'`` does.  With a = |v|, p = fl(a * 10**4) lies on the same side
+    of every half-integer as the exact product, so ``rint(p)`` is right
+    unless p is itself a half; only there is the exact error of the product
+    read, by Dekker's two-product (10**4 needs no split).  Entries whose
+    rounded magnitude is not below ``_FIXED4_LIMIT``, NaN and infinities
+    among them, are written by ``'%.4f'`` and spliced in.
+    """
+    values = np.asarray(values, dtype=float)
+    raw, ends = bytearray(), np.empty(len(values), np.int64)
+    for lo in range(0, len(values), _FIXED4_BLOCK):
+        block, rows = _fixed4_block(values[lo:lo + _FIXED4_BLOCK])
+        np.cumsum(rows, out=ends[lo:lo + len(rows)])
+        ends[lo:lo + len(rows)] += len(raw)
+        raw += block.data
+    return raw.decode("ascii"), ends
+
+
+def _fixed4_block(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_fixed4`` on a few rows: the ASCII bytes and the length of each row."""
+    n, k = values.shape
+    flat = values.ravel()
+    mag = np.abs(flat)
+    inside = mag < _FIXED4_LIMIT  # false for NaN and inf
+    mag[~inside] = 0.0
+    p = mag * 1e4
+    rounded = np.rint(p)
+    half = np.flatnonzero(p - np.floor(p) == 0.5)
+    if half.size:
+        a, ph = mag[half], p[half]
+        split = a * 134217729.0  # 2**27 + 1
+        hi = split - (split - a)
+        err = (hi * 1e4 - ph) + (a - hi) * 1e4  # exactly a * 10**4 - ph
+        rounded[half] = np.where(err > 0, ph + 0.5, np.where(err < 0, ph - 0.5, rounded[half]))
+    inside &= rounded < _FIXED4_LIMIT * 1e4
+    rounded[~inside] = 0.0
+    whole, frac = np.divmod(rounded.astype(np.int64), 10_000)
+    negative = np.signbit(flat)
+    frac[~inside] = 10_000  # the separator alone
+    words = np.empty((len(flat), 2), np.uint64)
+    words[:, 0] = _WHOLE[whole + 10_000 * negative]
+    words[:, 1] = _FRAC[frac]
+    words[~inside, 0] = 0
+    raw = words.view(np.uint8).reshape(n, k, 16)
+    raw[:, -1, 13] = ord(" ")
+    raw = raw[raw != 0]
+    lengths = np.where(inside, _LENGTH[whole] + negative, 1)
+    outside = np.flatnonzero(~inside)
+    if outside.size:
+        spill = [b"%.4f" % v for v in flat[outside].tolist()]
+        data, parts, start = raw.tobytes(), [], 0
+        for cut, item in zip((np.cumsum(lengths)[outside] - 1).tolist(), spill):
+            parts += [data[start:cut], item]
+            start = cut
+        raw = np.frombuffer(b"".join([*parts, data[start:]]), np.uint8)
+        lengths[outside] += [len(item) for item in spill]
+    return raw, lengths.reshape(n, k).sum(axis=1)
 
 
 def transformer(bbox, width: float, height: float):
@@ -49,18 +139,38 @@ def data_bbox(point_sets) -> tuple[float, float, float, float]:
             float(allpts[:, 1].min()), float(allpts[:, 1].max()))
 
 
-def polyline(pixels, stroke: str, width: float = 1.5, dash: str | None = None) -> str:
-    """One polyline through ``pixels``, an (m, 2) sequence of (X, Y)."""
-    pts = np.asarray(pixels, dtype=float).reshape(-1, 2)
-    # one %-template for the whole line: the same text as _fmt per number, in one call
-    coords = " ".join(["%.4f,%.4f"] * len(pts)) % tuple(pts.ravel().tolist())
+def point_runs(pixels, counts) -> list[str]:
+    """The points text "X,Y X,Y ..." of each run of ``counts`` consecutive
+    rows of ``pixels``, an (n, 2) array, from one ``_fixed4`` pass."""
+    text, ends = _fixed4(np.asarray(pixels, dtype=float).reshape(-1, 2))
+    bounds = np.concatenate([[0], ends])[np.cumsum([0, *counts])].tolist()
+    # each run's text ends in the row separator " ", which is cut off
+    return [text[lo:max(lo, hi - 1)] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def polyline_at(points: str, stroke: str, width: float = 1.5, dash: str | None = None) -> str:
+    """One polyline through a points text from ``point_runs``."""
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (f'<polyline fill="none" stroke="{stroke}" stroke-width="{_fmt(width)}"'
-            f'{dash_attr} points="{coords}"/>')
+            f'{dash_attr} points="{points}"/>')
+
+
+def polyline(pixels, stroke: str, width: float = 1.5, dash: str | None = None) -> str:
+    """One polyline through ``pixels``, an (m, 2) sequence of (X, Y)."""
+    return polyline_at(point_runs(pixels, [np.size(pixels) // 2])[0], stroke, width, dash)
+
+
+_CIRCLE = '<circle cx="{}" cy="{}" r="{}" fill="{}"/>'
+
+
+def circles_at(points: str, r: float, fill: str) -> list[str]:
+    """One circle at each pair of a points text from ``point_runs``."""
+    radius = _fmt(r)
+    return [_CIRCLE.format(*pair.split(","), radius, fill) for pair in points.split()]
 
 
 def circle(x: float, y: float, r: float, fill: str) -> str:
-    return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="{fill}"/>'
+    return _CIRCLE.format(_fmt(x), _fmt(y), _fmt(r), fill)
 
 
 def text(x: float, y: float, s: str) -> str:

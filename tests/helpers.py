@@ -3,7 +3,9 @@
 The oracles deliberately avoid the library's own code paths: the raw
 reparametrization formula is restated here, in floats and in exact
 rationals, derivatives come from finite differences, maxima from
-golden-section search, curvature from a three-point circle fit.
+golden-section search, curvature from a three-point circle fit.  The
+polygon files of the golden CLI jobs live here too, for every test that
+runs those jobs.
 """
 
 import dataclasses
@@ -14,6 +16,12 @@ import numpy as np
 from hypothesis import strategies as st
 
 from alphabezier import INFINITY, BasisSpec, BezierCurve, ControlPolygon, DomainError
+
+#: The polygon files the golden CLI jobs read: a 1-D graph and a 3-D cubic.
+GOLDEN_POLYGONS = {
+    "line1d.txt": "# a 1-D graph\n0\n2\n-1\n3\n",
+    "space3d.json": "[[0, 0, 0], [1, 2, 0.5], [3, 1, -1], [4, 0, 2]]",
+}
 
 # ------------------------------------------------------------ strategies
 

@@ -28,7 +28,7 @@ from alphabezier.cli import (
 from alphabezier.curve import MAX_SUBDIVISION_DEPTH
 from alphabezier.errors import ValidationError
 from alphabezier.homography import HomographyMap
-from helpers import rows_per_point
+from helpers import GOLDEN_POLYGONS, rows_per_point
 
 
 def run(tmp_path, name, *args):
@@ -500,11 +500,6 @@ def test_console_script_runs(tmp_path):
 
 
 # ------------------------------------------------------------ golden bytes
-
-GOLDEN_POLYGONS = {
-    "line1d.txt": "# a 1-D graph\n0\n2\n-1\n3\n",
-    "space3d.json": "[[0, 0, 0], [1, 2, 0.5], [3, 1, -1], [4, 0, 2]]",
-}
 
 GOLDEN_JOBS = {
     "basis-panel": ["--command", "basis", "--degree", "3", "--alpha=-1,2,5,inf",

@@ -694,6 +694,22 @@ def test_classical_correspondence():
     assert report.max_deviation <= 1e-10 * curve.polygon.diameter()
 
 
+def test_correspondence_scales_exactly_at_every_magnitude():
+    # the differences are scaled by a power of two before they are squared,
+    # so 2**j P gives 2**j times the deviation of P, bit for bit, where
+    # squaring the raw differences underflows (j = -500) or overflows (j = 1000)
+    cases = (("c", 2.0, 5.0, None), ("c", -1.0, 5.0, (2.0, 7.0)), ("d", 2.0, INFINITY, None))
+    for name, alpha, other_alpha, interval in cases:
+        points = preset_polygon(name).points
+        curve = make_curve(points, alpha)
+        unit = index_invariance(curve, reindexed(curve, other_alpha, interval)).max_deviation
+        assert unit > 0.0
+        for j in (-500, 500, 1000):
+            curve = make_curve(points * 2.0**j, alpha)
+            report = index_invariance(curve, reindexed(curve, other_alpha, interval))
+            assert report.max_deviation == unit * 2.0**j
+
+
 def test_correspondence_requires_equal_polygons():
     one = make_curve(preset_polygon("a"), 2.0)
     other = make_curve([(0.0, 0.0), (1.0, 1.0)], 2.0)

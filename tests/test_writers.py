@@ -16,6 +16,7 @@ import pytest
 from alphabezier import svg
 from alphabezier.cli import DISPATCH, parse_config
 from alphabezier.render import Result, render_json, render_svg
+from helpers import GOLDEN_POLYGONS
 
 # ------------------------------------------------------------ reference writers
 
@@ -169,8 +170,17 @@ def test_svg_matches_per_point_pixels_on_random_jobs(tmp_path):
     ["--command", "subdivide", "--polygon", "a", "--depth", "0", "--samples", "9"],
     ["--command", "elevate", "--polygon", "e", "--alpha=1.01", "--samples", "2"],
     ["--command", "fit", "--degree", "3", "--samples", "2", "--target", "constant"],
+    # one figure, many elements cut from one formatting pass: 64 polygons and
+    # 256 circles; polylines of two lengths in 1-D and 3-D; three fit graphs
+    ["--command", "subdivide", "--polygon", "c", "--depth", "6", "--samples", "64"],
+    ["--command", "elevate", "--polygon", "line1d.txt", "--alpha=-1", "--samples", "17"],
+    ["--command", "elevate", "--polygon", "space3d.json", "--alpha", "5", "--samples", "17"],
+    ["--command", "fit", "--degree", "12", "--samples", "512", "--target", "sine"],
 ])
-def test_writers_match_references_on_edge_jobs(argv):
+def test_writers_match_references_on_edge_jobs(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in GOLDEN_POLYGONS.items():
+        (tmp_path / name).write_text(text)
     config = parse_config([*argv, "--out", "x"])
     result = DISPATCH[config.command](config)
     assert render_json(result) == reference_json(result)
@@ -200,3 +210,88 @@ def test_json_writes_empty_blocks_like_json_dumps():
     assert render_json(result) == reference_json(result)
     no_rows = Result({}, np.zeros(0), ["B0"], [(2.0, np.zeros((0, 1)))], [np.zeros((0, 2))])
     assert render_json(no_rows) == reference_json(no_rows)
+
+
+# ------------------------------------------------------------ the %.4f kernel
+
+
+def _reference_fixed4(values):
+    """``svg._fixed4`` one ``'%.4f'`` at a time: the text and each row's end."""
+    rows = [",".join("%.4f" % v for v in row) + " " for row in values.tolist()]
+    return "".join(rows), np.cumsum([len(row) for row in rows], dtype=np.int64)
+
+
+def _assert_fixed4(values, layouts=((-1, 2),)):
+    values = np.asarray(values, dtype=float)
+    for shape in layouts:
+        table = values[:len(values) // shape[1] * shape[1]].reshape(shape)
+        text, ends = svg._fixed4(table)
+        expected, expected_ends = _reference_fixed4(table)
+        assert text == expected
+        assert np.array_equal(ends, expected_ends)
+
+
+def test_fixed4_matches_percent_format_on_fuzzed_arrays():
+    rng = np.random.default_rng(20261020)
+    _assert_fixed4(rng.uniform(-1e4, 1e4, 4000))
+    _assert_fixed4(rng.uniform(-1.0, 1.0, 4000) * 10.0 ** rng.uniform(-8.0, 4.0, 4000))
+    _assert_fixed4(np.round(rng.uniform(-1e4, 1e4, 4000), 4))  # near the 4-digit grid
+
+
+def test_fixed4_rounds_exact_ties_half_to_even():
+    # the only exact ties of round(|v| * 10**4) are the odd multiples of 1/32
+    odd = 2 * np.concatenate([np.arange(-20_000, 20_000),
+                              np.random.default_rng(3).integers(-160_000, 160_000, 10_000)]) + 1
+    _assert_fixed4(odd / 32.0)
+    assert svg._fixed4(np.array([[0.03125, 0.09375]]))[0] == "0.0312,0.0938 "
+
+
+def test_fixed4_matches_percent_format_next_to_every_half():
+    rng = np.random.default_rng(31)
+    k = np.concatenate([np.arange(20_000), rng.integers(0, 10**8, 20_000)])
+    halves = (k + 0.5) / 1e4
+    for near in (halves, np.nextafter(halves, 0.0), np.nextafter(halves, np.inf)):
+        _assert_fixed4(near)
+        _assert_fixed4(-near)
+
+
+def test_fixed4_writes_negative_zero_subnormals_and_the_range_limit():
+    tiny = np.array([-0.0, -4e-5, -1e-300, 0.0, 4e-5, 5e-324, -5e-324, 2.0**-1074 * 12345,
+                     -2.2250738585072014e-308, 1e-310])
+    assert svg._fixed4(tiny[:3, None])[0] == "-0.0000 -0.0000 -0.0000 "
+    _assert_fixed4(tiny, ((-1, 1), (-1, 2), (1, -1)))
+    # magnitudes that round to 10**4 or more, NaN and inf are written by '%.4f' itself
+    edge = np.array([svg._FIXED4_LIMIT, 9999.99995, 9999.99994999999, 1e300, np.inf, np.nan,
+                     1e4 + 0.5])
+    steps = np.concatenate([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)])
+    _assert_fixed4(np.concatenate([steps, -steps, [np.finfo(float).max, 1.0, 12.5]]),
+                   ((-1, 1), (-1, 2), (-1, 3), (1, -1)))
+    assert svg._fixed4(np.array([[np.nan, -1e5], [2.5, -np.inf]]))[0] == \
+        "nan,-100000.0000 2.5000,-inf "
+    # spliced into later blocks too, on both sides of a block boundary
+    rng = np.random.default_rng(11)
+    many = rng.uniform(-1e4, 1e4, 5 * svg._FIXED4_BLOCK)
+    spots = [0, 2 * svg._FIXED4_BLOCK - 1, 2 * svg._FIXED4_BLOCK, len(many) - 1,
+             *rng.choice(len(many), 40)]
+    many[spots] = rng.choice(steps, len(spots))
+    _assert_fixed4(many, ((-1, 2), (-1, 3)))
+
+
+def test_fixed4_writes_an_empty_array():
+    text, ends = svg._fixed4(np.zeros((0, 2)))
+    assert text == "" and ends.shape == (0,)
+    assert svg.polyline(np.zeros((0, 2)), "#000000") == _reference_polyline([], "#000000")
+
+
+def test_polyline_and_circle_match_the_scalar_writers():
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 17, 300):
+        pixels = rng.uniform(-50.0, 700.0, size=(m, 2))
+        for width, dash in ((1.5, None), (1.0, "6,4"), (2.0, None)):
+            assert svg.polyline(pixels, "#1f77b4", width, dash) == \
+                _reference_polyline(pixels.tolist(), "#1f77b4", width, dash)
+        points = svg.point_runs(pixels, [m])[0]
+        assert svg.circles_at(points, 2.5, "#999999") == \
+            [svg.circle(x, y, 2.5, "#999999") for x, y in pixels.tolist()]
+        none, first, empty, rest = svg.point_runs(pixels, [0, 1, 0, m - 1])
+        assert none == empty == "" and " ".join(filter(None, [first, rest])) == points
