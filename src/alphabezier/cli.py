@@ -3,16 +3,17 @@
 One executable with a --command switch: dump basis tables, sample curves,
 subdivide, elevate, run demo fits, or run a seeded self test.
 
-parse_config validates the arguments into a JobConfig that already holds
-the interval map of each basis index and the sample grid.  Each cmd_*
-computes one Result record from them: the sample grid, a sample matrix per
-basis index, the polygons and any fit results.  main hands that record to
-the renderer of the requested format (``render.RENDERERS``) and writes the
-text once; only selftest writes its own JSON report.  Identical
-configurations produce byte-identical files.  An output file is rewritten
-in place: it is complete once the command exits 0, and a job that fails
-while writing may leave a partial file.  Exit codes: 0 success, 2
-validation failure, 1 internal error.
+``COMMANDS`` holds each command's defaults, degree cap and size rule, and
+its keys are the --command choices.  parse_config validates the arguments
+against it into a JobConfig that holds the interval map of each basis index,
+the sample grid and the output's params.  Each cmd_* computes one Result
+record from them: the sample grid, a sample matrix per basis index, the
+polygons and any fit results.  main hands that record to the renderer of the
+requested format (``render.RENDERERS``) and writes the text once; only
+selftest writes its own JSON report.  Identical configurations produce
+byte-identical files.  An output file is rewritten in place: it is complete
+once the command exits 0, and a job that fails while writing may leave a
+partial file.  Exit codes: 0 success, 2 validation failure, 1 internal error.
 """
 
 from __future__ import annotations
@@ -37,7 +38,18 @@ from .homography import INFINITY, HomographyMap
 from .presets import PRESET_POLYGONS, preset_polygon
 from .render import RENDERERS, Result, alpha_json, alpha_text
 
-COMMANDS = ("basis", "curve", "subdivide", "elevate", "fit", "selftest")
+#: One rule per command, and the --command choices: the default --degree
+#: (None: the polygon's, and --polygon is required), the degree cap, the
+#: default --format, and the size rule: the numbers a result holds at degree n,
+#: with k basis indices, polygon dimension d (0 if none), s samples and depth r.
+COMMANDS = {
+    "basis": (3, MAX_DEGREE, "svg", lambda n, k, d, s, r: k * s * (n + 2)),
+    "curve": (None, MAX_DEGREE, "svg", lambda n, k, d, s, r: s * (d + 1) + (n + 1) * d),
+    "subdivide": (None, MAX_DEGREE, "svg", lambda n, k, d, s, r: s * (d + 1) + 2**r * (n + 1) * d),
+    "elevate": (None, MAX_DEGREE, "svg", lambda n, k, d, s, r: s * (d + 1) + (2 * n + 3) * d),
+    "fit": (8, MAX_FIT_DEGREE, "json", lambda n, k, d, s, r: 4 * s + 2 * (n + 1)),
+    "selftest": (3, MAX_DEGREE, "json", lambda n, k, d, s, r: 0),
+}
 FORMATS = ("csv", "json", "svg")
 DEFAULT_PANEL_ALPHAS = (-1.0, 2.0, 5.0, INFINITY)
 SEED_ENV_VAR = "ALPHABEZIER_SEED"  # read only by selftest, the one seeded command
@@ -65,19 +77,20 @@ FIT_TARGETS = {
 @dataclass
 class JobConfig:
     """A fully validated CLI job: ``maps`` holds the interval map of each basis
-    index, in --alpha order, and ``xs`` the strictly increasing sample grid."""
+    index, in --alpha order, ``xs`` the strictly increasing sample grid and
+    ``params`` the job's settings as its output writes them."""
 
     command: str
     degree: int
     maps: tuple[HomographyMap, ...]
     xs: np.ndarray
     polygon: ControlPolygon | None
-    polygon_label: str | None
     depth: int
     fmt: str
     out: Path | None
     target: str
     seed: int
+    params: dict
 
 
 def _parse_interval(text: str) -> tuple[float, float]:
@@ -131,9 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
                f"[-{MAX_FIT_ENDPOINT:g}, {MAX_FIT_ENDPOINT:g}].",
     )
     parser.add_argument("--command", required=True, choices=COMMANDS)
-    parser.add_argument("--degree", type=int, default=None,
-                        help=f"basis/fit degree (max {MAX_DEGREE}, {MAX_FIT_DEGREE} for fit); "
-                             "curve commands take it from the polygon")
+    parser.add_argument("--degree", type=int, default=None, help="default/max: " + ", ".join(
+        f"{name} {'polygon' if degree is None else degree}/{cap}"
+        for name, (degree, cap, _, _) in COMMANDS.items()))
     parser.add_argument("--alpha", default=None,
                         help="index value, 'inf', or a comma list for basis panels")
     parser.add_argument("--interval", default="0,1", help="parameter interval 'a,b'")
@@ -147,20 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--target", default="rational1", choices=sorted(FIT_TARGETS),
                         help="named scalar function for the fit command")
     return parser
-
-
-def _output_numbers(command: str, degree: int, panels: int, polygon: ControlPolygon | None,
-                    samples: int, depth: int) -> int:
-    """How many numbers a job's result holds: x and the values per sample, plus polygons."""
-    if command == "selftest":
-        return 0
-    if command == "basis":
-        return panels * samples * (degree + 2)
-    if command == "fit":
-        return samples * 4 + 2 * (degree + 1)
-    points = {"curve": degree + 1, "subdivide": 2**depth * (degree + 1),
-              "elevate": 2 * degree + 3}[command]
-    return samples * (polygon.dim + 1) + points * polygon.dim
 
 
 def parse_config(argv=None) -> JobConfig:
@@ -182,25 +181,20 @@ def parse_config(argv=None) -> JobConfig:
     if command != "basis" and len(alphas) != 1:
         raise ValidationError("alpha", f"{command} takes a single index value")
 
-    polygon = None
-    polygon_label = None
+    polygon = polygon_label = None
     if ns.polygon is not None:
         polygon, polygon_label = _load_polygon(ns.polygon)
 
-    needs_polygon = command in ("curve", "subdivide", "elevate")
-    if needs_polygon and polygon is None:
+    default_degree, cap, default_fmt, size_rule = COMMANDS[command]
+    if default_degree is not None:
+        degree = default_degree if ns.degree is None else ns.degree
+    elif polygon is None:
         raise ValidationError("polygon", f"{command} requires --polygon")
-
-    if needs_polygon:
+    else:
         degree = polygon.degree
         if ns.degree is not None and ns.degree != degree:
             raise ValidationError(
                 "degree", f"--degree {ns.degree} conflicts with polygon of degree {degree}")
-    elif ns.degree is not None:
-        degree = ns.degree
-    else:
-        degree = 8 if command == "fit" else 3
-    cap = MAX_FIT_DEGREE if command == "fit" else MAX_DEGREE  # the library limits
     if not 1 <= degree <= cap:
         raise ValidationError("degree", f"degree must be in 1..{cap} for {command}, got {degree}")
 
@@ -210,16 +204,14 @@ def parse_config(argv=None) -> JobConfig:
         raise ValidationError(
             "depth", f"depth must be in 0..{MAX_SUBDIVISION_DEPTH}, got {ns.depth}")
 
-    numbers = _output_numbers(command, degree, len(alphas), polygon, ns.samples, ns.depth)
+    numbers = size_rule(degree, len(alphas), 0 if polygon is None else polygon.dim,
+                        ns.samples, ns.depth)
     if numbers > MAX_OUTPUT_NUMBERS:
         raise ValidationError(
             "output", f"{command} would write {numbers} numbers, over the budget of "
             f"{MAX_OUTPUT_NUMBERS}; lower --samples, --degree, --depth or the --alpha count")
 
-    fmt = ns.fmt
-    if fmt is None:
-        fmt = "json" if command in ("fit", "selftest") else "svg"
-
+    fmt = ns.fmt or default_fmt
     out = Path(ns.out) if ns.out is not None else None
     if out is None and command != "selftest":
         raise ValidationError("out", f"{command} requires --out")
@@ -239,43 +231,33 @@ def parse_config(argv=None) -> JobConfig:
         raise ValidationError(
             "samples", f"{ns.samples} samples on [{a!r}, {b!r}] repeat "
             "grid points; the interval holds too few distinct floats")
-    return JobConfig(command, degree, maps, xs, polygon, polygon_label, ns.depth, fmt, out,
-                     ns.target, seed)
+    params = {"command": command, "degree": degree, "alpha": [alpha_json(h.alpha) for h in maps],
+              "interval": [a, b], "samples": ns.samples, "format": fmt}
+    if command == "subdivide":
+        params["depth"] = ns.depth
+    if polygon_label is not None:
+        params["polygon"] = polygon_label
+    if command == "fit":
+        params["target"] = ns.target
+    return JobConfig(command, degree, maps, xs, polygon, ns.depth, fmt, out, ns.target, seed,
+                     params)
 
 
 # ---------------------------------------------------------------- commands
-
-
-def _params_dict(config: JobConfig) -> dict:
-    params = {
-        "command": config.command,
-        "degree": config.degree,
-        "alpha": [alpha_json(h.alpha) for h in config.maps],
-        "interval": [config.maps[0].a, config.maps[0].b],
-        "samples": len(config.xs),
-        "format": config.fmt,
-    }
-    if config.command == "subdivide":
-        params["depth"] = config.depth
-    if config.polygon_label is not None:
-        params["polygon"] = config.polygon_label
-    if config.command == "fit":
-        params["target"] = config.target
-    return params
 
 
 def cmd_basis(config: JobConfig) -> Result:
     tables = [(h.alpha, collocation_matrix(BasisSpec(config.degree, h), config.xs))
               for h in config.maps]
     names = [f"B{i}" for i in range(config.degree + 1)]
-    return Result(_params_dict(config), config.xs, names, tables, [])
+    return Result(config.params, config.xs, names, tables, [])
 
 
 def _curve_result(config: JobConfig, polygons) -> Result:
     """The samples of the job's curve, with the polygons ``polygons(curve)`` lists."""
     curve = BezierCurve(config.polygon, BasisSpec(config.degree, config.maps[0]))
     names = [f"p{i}" for i in range(config.polygon.dim)]
-    return Result(_params_dict(config), config.xs, names, [(None, curve.samples(config.xs))],
+    return Result(config.params, config.xs, names, [(None, curve.samples(config.xs))],
                   polygons(curve))
 
 
@@ -310,7 +292,7 @@ def cmd_fit(config: JobConfig) -> Result:
         "collocation": {"max_error": colloc.max_error, "l2_error": colloc.l2_error},
         "least_squares": {"max_error": lsq.max_error, "l2_error": lsq.l2_error},
     }
-    return Result(_params_dict(config), xs, ["target", "collocation", "least_squares"],
+    return Result(config.params, xs, ["target", "collocation", "least_squares"],
                   [(None, table)],
                   [colloc.coefficients[:, None], lsq.coefficients[:, None]], results)
 

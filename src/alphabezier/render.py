@@ -6,7 +6,8 @@ shortest round-trip form, JSON byte-identical to ``json.dumps(indent=2)``,
 and SVG through the ``svg`` element writers, looked up as ``svg.<name>``.
 Each SVG figure maps all of its points to pixels in one transformer pass and
 formats them in one ``svg.point_runs`` pass, the exact ``'%.4f'`` text;
-each polyline and circle is cut out of that text.
+each polyline and circle is cut out of that text.  A curve figure stacks
+its polygons and samples into one array, projected and bounded once.
 """
 
 from __future__ import annotations
@@ -141,13 +142,13 @@ def render_json(result: Result) -> str:
     return ",\n    ".join(samples)
 
 
-def _planar(points: np.ndarray) -> np.ndarray:
-    """Project samples or polygons to 2-D for plotting."""
-    pts = np.atleast_2d(points)
-    if pts.shape[1] == 1:
-        # 1-D curves plot as a graph over an index axis
-        return np.column_stack([np.arange(len(pts), dtype=float), pts[:, 0]])
-    return pts[:, :2]
+def _planar(points: np.ndarray, counts: list[int]) -> np.ndarray:
+    """Project stacked runs of ``counts`` samples or polygon points to 2-D for
+    plotting; a 1-D point plots over its index within its own run."""
+    if points.shape[1] > 1:
+        return points[:, :2]
+    starts = np.repeat(np.cumsum([0, *counts[:-1]]), counts)
+    return np.column_stack([np.arange(len(points)) - starts, points[:, 0]])
 
 
 def _graphs(xs: np.ndarray, matrices: list[np.ndarray], bbox, colors, titles,
@@ -185,7 +186,8 @@ def _basis_panels(result: Result) -> str:
 def _fit_figure(result: Result) -> str:
     width, height = 640.0, 480.0
     matrix = result.tables[0][1]
-    bbox = svg.data_bbox([np.column_stack([result.xs, column]) for column in matrix.T])
+    # the grid is strictly increasing, so its ends bound it
+    bbox = svg.data_bbox(np.array([[result.xs[0], matrix.min()], [result.xs[-1], matrix.max()]]))
     [elements] = _graphs(result.xs, [matrix], bbox, ("#999999", "#1f77b4", "#d62728"),
                          [f"target = {result.params['target']}"], width, height)
     return svg.document(width, height, elements)
@@ -195,12 +197,11 @@ def _curve_figure(result: Result) -> str:
     # the control polygon is drawn dashed; subdivision pieces all in colour
     dashed_first = result.params["command"] != "subdivide"
     width, height = 640.0, 480.0
-    curve_pts = _planar(result.tables[0][1])
-    planar = [_planar(poly) for poly in result.polygons] + [curve_pts]
-    to_px = svg.transformer(svg.data_bbox(planar), width, height)
+    counts = [len(points) for points in result.polygons] + [len(result.xs)]
+    planar = _planar(np.concatenate([*result.polygons, result.tables[0][1]]), counts)
     # every polygon and the curve in one transformer pass and one formatting pass
-    *runs, curve = svg.point_runs(np.column_stack(to_px(*np.concatenate(planar).T)),
-                                  [len(points) for points in planar])
+    to_px = svg.transformer(svg.data_bbox(planar), width, height)
+    *runs, curve = svg.point_runs(np.column_stack(to_px(*planar.T)), counts)
     elements = [svg.rect(0.0, 0.0, width, height)]
     for k, points in enumerate(runs):
         dashed = dashed_first and k == 0

@@ -132,11 +132,11 @@ def transformer(bbox, width: float, height: float):
     return to_pixel
 
 
-def data_bbox(point_sets) -> tuple[float, float, float, float]:
-    """(xmin, xmax, ymin, ymax) over a list of (m, 2) arrays."""
-    allpts = np.vstack([np.atleast_2d(np.asarray(p, dtype=float)) for p in point_sets])
-    return (float(allpts[:, 0].min()), float(allpts[:, 0].max()),
-            float(allpts[:, 1].min()), float(allpts[:, 1].max()))
+def data_bbox(points: np.ndarray) -> tuple[float, float, float, float]:
+    """(xmin, xmax, ymin, ymax) of an (m, 2) float array, m >= 1: a figure
+    stacks all of its points into one array first."""
+    xs, ys = points[:, 0], points[:, 1]  # column by column: min(axis=0) is slower
+    return float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max())
 
 
 def point_runs(pixels, counts) -> list[str]:

@@ -4,11 +4,12 @@ The oracles deliberately avoid the library's own code paths: the raw
 reparametrization formula is restated here, in floats and in exact
 rationals, derivatives come from finite differences, maxima from
 golden-section search, curvature from a three-point circle fit.  The
-polygon files of the golden CLI jobs live here too, for every test that
-runs those jobs.
+polygon files of the golden CLI jobs and the seeded random CLI jobs live
+here too, for every test that runs those jobs.
 """
 
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -22,6 +23,47 @@ GOLDEN_POLYGONS = {
     "line1d.txt": "# a 1-D graph\n0\n2\n-1\n3\n",
     "space3d.json": "[[0, 0, 0], [1, 2, 0.5], [3, 1, -1], [4, 0, 2]]",
 }
+
+#: The indices and intervals the random CLI jobs draw from.
+RANDOM_INDICES = ("-1", "2", "5", "inf", "1.01", "-0.01", "1e300", "-1e300", "-3.5", "17.25")
+RANDOM_INTERVALS = ("0,1", "-1,2", "-2.5,0.125", "3,1e4", "-1e-3,1e-3")
+
+
+def _random_argv(rng, polygons, command):
+    argv = ["--command", command, f"--interval={rng.choice(RANDOM_INTERVALS)}",
+            "--samples", str(int(rng.choice([2, 3, int(rng.integers(2, 200))])))]
+    if command == "basis":
+        count = int(rng.choice([1, 1, 2, 3, 4]))
+        argv += [f"--alpha={','.join(rng.choice(RANDOM_INDICES, size=count))}",
+                 "--degree", str(int(rng.integers(1, 15)))]
+        return argv
+    argv.append(f"--alpha={rng.choice(RANDOM_INDICES)}")
+    if command == "fit":
+        return argv + ["--degree", str(int(rng.integers(1, 9))),
+                       "--target", str(rng.choice(["rational1", "rational2", "sine", "constant"]))]
+    argv += ["--polygon", str(rng.choice(polygons))]
+    if command == "subdivide":
+        argv += ["--depth", str(int(rng.integers(0, 7)))]
+    return argv
+
+
+def random_jobs(tmp_path, seed, jobs):
+    """The argv of ``jobs`` seeded random CLI jobs without --out, cycling through
+    basis, curve, subdivide, elevate and fit: panel lists of up to four
+    indices, the presets and random 1-D, 2-D and 3-D polygon files of 2, 4
+    and 7 points, which are written to ``tmp_path``, and depths 0 to 6."""
+    rng = np.random.default_rng(seed)
+    polygons = []
+    for dim in (1, 2, 3):
+        for npts in (2, 4, 7):
+            path = tmp_path / f"poly{dim}d{npts}.json"
+            path.write_text(json.dumps(rng.uniform(-10.0, 10.0, size=(npts, dim)).tolist()))
+            polygons.append(str(path))
+    polygons += list("abcdefghi")
+    commands = ["basis", "curve", "subdivide", "elevate", "fit"]
+    for k in range(jobs):
+        yield _random_argv(rng, polygons, commands[k % len(commands)])
+
 
 # ------------------------------------------------------------ strategies
 

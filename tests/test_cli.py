@@ -5,10 +5,13 @@ import re
 import subprocess
 import sys
 import threading
+import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import alphabezier
 from alphabezier import cli, make_curve, preset_polygon
 from alphabezier.approx import MAX_FIT_DEGREE
 from alphabezier.basis import MAX_DEGREE, BasisSpec
@@ -19,7 +22,6 @@ from alphabezier.cli import (
     MAX_FIT_ENDPOINT,
     MAX_OUTPUT_NUMBERS,
     MAX_SAMPLES,
-    _output_numbers,
     build_parser,
     cmd_fit,
     main,
@@ -28,7 +30,7 @@ from alphabezier.cli import (
 from alphabezier.curve import MAX_SUBDIVISION_DEPTH
 from alphabezier.errors import ValidationError
 from alphabezier.homography import HomographyMap
-from helpers import GOLDEN_POLYGONS, rows_per_point
+from helpers import GOLDEN_POLYGONS, random_jobs, rows_per_point
 
 
 def run(tmp_path, name, *args):
@@ -646,18 +648,72 @@ def test_output_budget_is_checked_before_compute(tmp_path):
     assert str(MAX_OUTPUT_NUMBERS) in build_parser().format_help()
 
 
+def _counted_and_written(argv):
+    """What the command's size rule counts for a job, and the numbers its result holds."""
+    config = parse_config([*argv, "--out", "x"])
+    result = DISPATCH[config.command](config)
+    written = (len(result.tables) * result.xs.size + sum(m.size for _, m in result.tables)
+               + sum(poly.size for poly in result.polygons))
+    _, _, _, size_rule = cli.COMMANDS[config.command]
+    dim = 0 if config.polygon is None else config.polygon.dim
+    return size_rule(config.degree, len(config.maps), dim, len(config.xs), config.depth), written
+
+
 @pytest.mark.parametrize("job", sorted(set(GOLDEN_JOBS) - {"selftest"}))
 def test_output_budget_counts_the_result(job, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, text in GOLDEN_POLYGONS.items():
         (tmp_path / name).write_text(text)
-    config = parse_config([*GOLDEN_JOBS[job], "--out", "x"])
-    result = DISPATCH[config.command](config)
-    written = (len(result.tables) * result.xs.size + sum(m.size for _, m in result.tables)
-               + sum(poly.size for poly in result.polygons))
-    assert _output_numbers(config.command, config.degree, len(config.maps), config.polygon,
-                           len(config.xs), config.depth) == written
+    counted, written = _counted_and_written(GOLDEN_JOBS[job])
+    assert counted == written
     assert written <= MAX_OUTPUT_NUMBERS // 1000
+
+
+@pytest.mark.parametrize("seed", [20261018, 4711])
+def test_output_budget_counts_the_result_of_random_jobs(seed, tmp_path):
+    # the writer tests' jobs: 1-D, 2-D and 3-D polygon files, panel lists, depths 0-6
+    for argv in random_jobs(tmp_path, seed, 60):
+        counted, written = _counted_and_written(argv)
+        assert counted == written, argv
+
+
+@pytest.mark.parametrize("command, degree, fmt, cap", [
+    ("basis", 3, "svg", MAX_DEGREE),
+    ("curve", "polygon", "svg", MAX_DEGREE),
+    ("subdivide", "polygon", "svg", MAX_DEGREE),
+    ("elevate", "polygon", "svg", MAX_DEGREE),
+    ("fit", 8, "json", MAX_FIT_DEGREE),
+    ("selftest", 3, "json", MAX_DEGREE),
+])
+def test_each_command_has_its_own_defaults_and_degree_cap(command, degree, fmt, cap, tmp_path):
+    def polygon(points):  # a 1-D polygon file of degree points - 1
+        path = tmp_path / f"line{points}.txt"
+        path.write_text("".join(f"{k % 3}\n" for k in range(points)))
+        return ["--polygon", str(path)]
+
+    argv = ["--command", command, "--out", "x"]
+    config = parse_config([*argv, *polygon(5)] if degree == "polygon" else argv)
+    assert config.degree == (4 if degree == "polygon" else degree)
+    assert config.fmt == config.params["format"] == fmt
+    assert [h.alpha for h in config.maps] == ([-1.0, 2.0, 5.0, np.inf] if command == "basis"
+                                              else [2.0])
+    at, over = ((polygon(cap + 1), polygon(cap + 2)) if degree == "polygon" else
+                (["--degree", str(cap)], ["--degree", str(cap + 1)]))
+    assert parse_config([*argv, *at]).degree == cap
+    with pytest.raises(ValidationError) as info:
+        parse_config([*argv, *over])
+    assert info.value.field == "degree"
+
+
+def test_every_module_stays_below_the_parser_token_step():
+    # CPython 3.11's parser doubles its token array at 4,096 tokens; a synthetic
+    # module stepped between 4,081 and 4,161 tokens, and compiling a module past
+    # the step (as without cached bytecode) raises the peak RSS of every process
+    # that imports the library
+    for path in sorted(Path(alphabezier.__file__).parent.glob("*.py")):
+        with tokenize.open(path) as fh:
+            tokens = sum(1 for _ in tokenize.generate_tokens(fh.readline))
+        assert tokens < 4081, f"{path.name} has {tokens} tokens"
 
 
 def test_interval_with_three_ends_exits_2_naming_interval(tmp_path, capsys):

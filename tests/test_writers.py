@@ -1,10 +1,11 @@
 """The JSON and SVG writers against the per-value writers they replaced.
 
 ``reference_json`` builds the nested payload and hands it to
-``json.dumps(indent=2)``; ``reference_svg`` maps every point through the
-pixel closure on its own and formats it with ``svg._fmt``.  Both are kept
-verbatim as oracles: the template and per-column writers in ``render`` and
-``svg`` must give the same text, byte for byte.
+``json.dumps(indent=2)``; ``reference_svg`` bounds the stacked point sets
+itself, maps every point through the pixel closure on its own and formats
+it with ``svg._fmt``.  Both are kept as oracles: the template and
+per-column writers in ``render`` and ``svg`` must give the same text, byte
+for byte.
 """
 
 import json
@@ -16,7 +17,7 @@ import pytest
 from alphabezier import svg
 from alphabezier.cli import DISPATCH, parse_config
 from alphabezier.render import Result, render_json, render_svg
-from helpers import GOLDEN_POLYGONS
+from helpers import GOLDEN_POLYGONS, random_jobs
 
 # ------------------------------------------------------------ reference writers
 
@@ -50,6 +51,11 @@ def _reference_polyline(pixels, stroke, width=1.5, dash=None):
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (f'<polyline fill="none" stroke="{stroke}" stroke-width="{svg._fmt(width)}"'
             f'{dash_attr} points="{coords}"/>')
+
+
+def _reference_bbox(point_sets):
+    stacked = np.vstack(point_sets)
+    return (stacked[:, 0].min(), stacked[:, 0].max(), stacked[:, 1].min(), stacked[:, 1].max())
 
 
 def _planar(points):
@@ -88,14 +94,14 @@ def reference_svg(result: Result) -> str:
     width, height = 640.0, 480.0
     if command == "fit":
         matrix = result.tables[0][1]
-        bbox = svg.data_bbox([np.column_stack([result.xs, column]) for column in matrix.T])
+        bbox = _reference_bbox([np.column_stack([result.xs, column]) for column in matrix.T])
         elements = _reference_graph(result.xs, matrix, bbox, ("#999999", "#1f77b4", "#d62728"),
                                     f"target = {result.params['target']}", width, height)
         return svg.document(width, height, elements)
     dashed_first = command != "subdivide"
     curve_pts = _planar(result.tables[0][1])
     polygons = [_planar(poly) for poly in result.polygons]
-    to_px = svg.transformer(svg.data_bbox(polygons + [curve_pts]), width, height)
+    to_px = svg.transformer(_reference_bbox(polygons + [curve_pts]), width, height)
     elements = [svg.rect(0.0, 0.0, width, height)]
     for k, planar in enumerate(polygons):
         pixels = [to_px(x, y) for x, y in planar.tolist()]
@@ -111,44 +117,9 @@ def reference_svg(result: Result) -> str:
 
 # ------------------------------------------------------------ random jobs
 
-INDICES = ("-1", "2", "5", "inf", "1.01", "-0.01", "1e300", "-1e300", "-3.5", "17.25")
-INTERVALS = ("0,1", "-1,2", "-2.5,0.125", "3,1e4", "-1e-3,1e-3")
-
-
-def _polygon_files(tmp_path, rng):
-    files = []
-    for dim in (1, 2, 3):
-        for npts in (2, 4, 7):
-            path = tmp_path / f"poly{dim}d{npts}.json"
-            path.write_text(json.dumps(rng.uniform(-10.0, 10.0, size=(npts, dim)).tolist()))
-            files.append(str(path))
-    return files + list("abcdefghi")
-
-
-def _random_argv(rng, polygons, command):
-    argv = ["--command", command, f"--interval={rng.choice(INTERVALS)}",
-            "--samples", str(int(rng.choice([2, 3, int(rng.integers(2, 200))])))]
-    if command == "basis":
-        count = int(rng.choice([1, 1, 2, 3, 4]))
-        argv += [f"--alpha={','.join(rng.choice(INDICES, size=count))}",
-                 "--degree", str(int(rng.integers(1, 15)))]
-        return argv
-    argv.append(f"--alpha={rng.choice(INDICES)}")
-    if command == "fit":
-        return argv + ["--degree", str(int(rng.integers(1, 9))),
-                       "--target", str(rng.choice(["rational1", "rational2", "sine", "constant"]))]
-    argv += ["--polygon", str(rng.choice(polygons))]
-    if command == "subdivide":
-        argv += ["--depth", str(int(rng.integers(0, 7)))]
-    return argv
-
 
 def _random_results(tmp_path, seed, jobs):
-    rng = np.random.default_rng(seed)
-    polygons = _polygon_files(tmp_path, rng)
-    commands = ["basis", "curve", "subdivide", "elevate", "fit"]
-    for k in range(jobs):
-        argv = _random_argv(rng, polygons, commands[k % len(commands)])
+    for argv in random_jobs(tmp_path, seed, jobs):
         config = parse_config([*argv, "--out", "x"])
         yield argv, DISPATCH[config.command](config)
 
