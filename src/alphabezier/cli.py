@@ -3,17 +3,17 @@
 One executable with a --command switch: dump basis tables, sample curves,
 subdivide, elevate, run demo fits, or run a seeded self test.
 
-``COMMANDS`` holds each command's defaults, degree cap and size rule, and
-its keys are the --command choices.  parse_config validates the arguments
-against it into a JobConfig that holds the interval map of each basis index,
-the sample grid and the output's params.  Each cmd_* computes one Result
-record from them: the sample grid, a sample matrix per basis index, the
-polygons and any fit results.  main hands that record to the renderer of the
-requested format (``render.RENDERERS``) and writes the text once; only
-selftest writes its own JSON report.  Identical configurations produce
-byte-identical files.  An output file is rewritten in place: it is complete
-once the command exits 0, and a job that fails while writing may leave a
-partial file.  Exit codes: 0 success, 2 validation failure, 1 internal error.
+``COMMANDS`` holds each command's defaults, degree cap and size rule, but for
+selftest, which reads only --out and the seed.  parse_config reads, checks and
+records a flag only for the commands that use it, into a JobConfig that holds
+the interval map of each basis index, the sample grid and the output's params.
+Each cmd_* computes one Result record from them (the sample grid, a sample
+matrix per basis index, the polygons and any fit results), and main writes it
+once through the renderer of its format (``render.RENDERERS``); selftest
+writes its own JSON report.  Identical configurations produce byte-identical
+files.  An output file is rewritten in place: it is complete once the command
+exits 0, and a job that fails while writing may leave a partial file.  Exit
+codes: 0 success, 2 validation failure, 1 internal error.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .homography import INFINITY, HomographyMap
 from .presets import PRESET_POLYGONS, preset_polygon
 from .render import RENDERERS, Result, alpha_json, alpha_text
 
-#: One rule per command, and the --command choices: the default --degree
-#: (None: the polygon's, and --polygon is required), the degree cap, the
+#: One rule per command but selftest: the default --degree (None: the polygon's;
+#: only these commands read --polygon, and require it), the degree cap, the
 #: default --format, and the size rule: the numbers a result holds at degree n,
 #: with k basis indices, polygon dimension d (0 if none), s samples and depth r.
 COMMANDS = {
@@ -48,7 +48,6 @@ COMMANDS = {
     "subdivide": (None, MAX_DEGREE, "svg", lambda n, k, d, s, r: s * (d + 1) + 2**r * (n + 1) * d),
     "elevate": (None, MAX_DEGREE, "svg", lambda n, k, d, s, r: s * (d + 1) + (2 * n + 3) * d),
     "fit": (8, MAX_FIT_DEGREE, "json", lambda n, k, d, s, r: 4 * s + 2 * (n + 1)),
-    "selftest": (3, MAX_DEGREE, "json", lambda n, k, d, s, r: 0),
 }
 FORMATS = ("csv", "json", "svg")
 DEFAULT_PANEL_ALPHAS = (-1.0, 2.0, 5.0, INFINITY)
@@ -76,21 +75,20 @@ FIT_TARGETS = {
 
 @dataclass
 class JobConfig:
-    """A fully validated CLI job: ``maps`` holds the interval map of each basis
-    index, in --alpha order, ``xs`` the strictly increasing sample grid and
-    ``params`` the job's settings as its output writes them."""
+    """A fully validated CLI job.  A selftest job holds only ``out`` and ``seed``;
+    any other job's ``maps`` holds the interval map of each basis index, in
+    --alpha order, ``xs`` the strictly increasing sample grid and ``params`` the
+    job's settings as its output writes them, the one record of --depth and --target."""
 
     command: str
-    degree: int
-    maps: tuple[HomographyMap, ...]
-    xs: np.ndarray
-    polygon: ControlPolygon | None
-    depth: int
-    fmt: str
     out: Path | None
-    target: str
-    seed: int
-    params: dict
+    seed: int = 0
+    degree: int = 0
+    maps: tuple[HomographyMap, ...] = ()
+    xs: np.ndarray | None = None
+    polygon: ControlPolygon | None = None
+    fmt: str = "json"
+    params: dict | None = None
 
 
 def _parse_interval(text: str) -> tuple[float, float]:
@@ -143,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                f"{MAX_COORDINATE:g}. A fit interval lies within "
                f"[-{MAX_FIT_ENDPOINT:g}, {MAX_FIT_ENDPOINT:g}].",
     )
-    parser.add_argument("--command", required=True, choices=COMMANDS)
+    parser.add_argument("--command", required=True, choices=[*COMMANDS, "selftest"])
     parser.add_argument("--degree", type=int, default=None, help="default/max: " + ", ".join(
         f"{name} {'polygon' if degree is None else degree}/{cap}"
         for name, (degree, cap, _, _) in COMMANDS.items()))
@@ -165,6 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_config(argv=None) -> JobConfig:
     ns = build_parser().parse_args(argv)
     command = ns.command
+    out = Path(ns.out) if ns.out is not None else None
+    if command == "selftest":
+        seed = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            return JobConfig(command, out, int(seed))
+        except ValueError:
+            raise ValidationError("seed", f"{SEED_ENV_VAR}={seed!r} is not an integer") from None
     a, b = _parse_interval(ns.interval)
     if command == "fit" and max(abs(a), abs(b)) > MAX_FIT_ENDPOINT:
         raise ValidationError(
@@ -181,16 +186,14 @@ def parse_config(argv=None) -> JobConfig:
     if command != "basis" and len(alphas) != 1:
         raise ValidationError("alpha", f"{command} takes a single index value")
 
-    polygon = polygon_label = None
-    if ns.polygon is not None:
-        polygon, polygon_label = _load_polygon(ns.polygon)
-
     default_degree, cap, default_fmt, size_rule = COMMANDS[command]
+    polygon = None
     if default_degree is not None:
         degree = default_degree if ns.degree is None else ns.degree
-    elif polygon is None:
+    elif ns.polygon is None:
         raise ValidationError("polygon", f"{command} requires --polygon")
     else:
+        polygon, polygon_label = _load_polygon(ns.polygon)
         degree = polygon.degree
         if ns.degree is not None and ns.degree != degree:
             raise ValidationError(
@@ -200,47 +203,38 @@ def parse_config(argv=None) -> JobConfig:
 
     if not 2 <= ns.samples <= MAX_SAMPLES:
         raise ValidationError("samples", f"samples must be in 2..{MAX_SAMPLES}, got {ns.samples}")
-    if not 0 <= ns.depth <= MAX_SUBDIVISION_DEPTH:
-        raise ValidationError(
-            "depth", f"depth must be in 0..{MAX_SUBDIVISION_DEPTH}, got {ns.depth}")
+    depth = ns.depth if command == "subdivide" else 0
+    if not 0 <= depth <= MAX_SUBDIVISION_DEPTH:
+        raise ValidationError("depth", f"depth must be in 0..{MAX_SUBDIVISION_DEPTH}, got {depth}")
 
     numbers = size_rule(degree, len(alphas), 0 if polygon is None else polygon.dim,
-                        ns.samples, ns.depth)
+                        ns.samples, depth)
     if numbers > MAX_OUTPUT_NUMBERS:
         raise ValidationError(
             "output", f"{command} would write {numbers} numbers, over the budget of "
             f"{MAX_OUTPUT_NUMBERS}; lower --samples, --degree, --depth or the --alpha count")
 
-    fmt = ns.fmt or default_fmt
-    out = Path(ns.out) if ns.out is not None else None
-    if out is None and command != "selftest":
+    if out is None:
         raise ValidationError("out", f"{command} requires --out")
-
     try:
         maps = tuple(HomographyMap(a, b, alpha) for alpha in alphas)
     except ArgumentError as exc:
         raise ValidationError("alpha", str(exc)) from None
 
-    seed_text = os.environ.get(SEED_ENV_VAR, "0") if command == "selftest" else "0"
-    try:
-        seed = int(seed_text)
-    except ValueError:
-        raise ValidationError("seed", f"{SEED_ENV_VAR}={seed_text!r} is not an integer") from None
     xs = np.linspace(a, b, ns.samples)
-    if command != "selftest" and np.any(np.diff(xs) <= 0.0):
+    if np.any(np.diff(xs) <= 0.0):
         raise ValidationError(
             "samples", f"{ns.samples} samples on [{a!r}, {b!r}] repeat "
             "grid points; the interval holds too few distinct floats")
     params = {"command": command, "degree": degree, "alpha": [alpha_json(h.alpha) for h in maps],
-              "interval": [a, b], "samples": ns.samples, "format": fmt}
+              "interval": [a, b], "samples": ns.samples, "format": ns.fmt or default_fmt}
     if command == "subdivide":
-        params["depth"] = ns.depth
-    if polygon_label is not None:
+        params["depth"] = depth
+    if polygon is not None:
         params["polygon"] = polygon_label
     if command == "fit":
         params["target"] = ns.target
-    return JobConfig(command, degree, maps, xs, polygon, ns.depth, fmt, out, ns.target, seed,
-                     params)
+    return JobConfig(command, out, 0, degree, maps, xs, polygon, params["format"], params)
 
 
 # ---------------------------------------------------------------- commands
@@ -266,7 +260,8 @@ def cmd_curve(config: JobConfig) -> Result:
 
 
 def cmd_subdivide(config: JobConfig) -> Result:
-    return _curve_result(config, lambda curve: list(curve.subdivision_stack(config.depth)))
+    depth = config.params["depth"]
+    return _curve_result(config, lambda curve: list(curve.subdivision_stack(depth)))
 
 
 def cmd_elevate(config: JobConfig) -> Result:
@@ -275,24 +270,23 @@ def cmd_elevate(config: JobConfig) -> Result:
 
 
 def cmd_fit(config: JobConfig) -> Result:
-    f = FIT_TARGETS[config.target]
+    f = FIT_TARGETS[config.params["target"]]
     spec = BasisSpec(config.degree, config.maps[0])
-    xs = config.xs
     try:
         colloc = fit_collocation(f, spec)
-        lsq = fit_least_squares(f, spec, max(len(xs), config.degree + 1))
+        lsq = fit_least_squares(f, spec, max(len(config.xs), config.degree + 1))
     except SolveError as exc:
         raise ValidationError("degree", f"degree {config.degree} at alpha "
                               f"{alpha_text(spec.homography.alpha)}: {exc}; lower the degree or "
                               "move alpha away from [0, 1]") from None
-    rows = collocation_matrix(spec, xs)
-    table = np.column_stack([[f(x) for x in xs], rowwise_dot(rows, colloc.coefficients),
+    rows = collocation_matrix(spec, config.xs)
+    table = np.column_stack([[f(x) for x in config.xs], rowwise_dot(rows, colloc.coefficients),
                              rowwise_dot(rows, lsq.coefficients)])
     results = {
         "collocation": {"max_error": colloc.max_error, "l2_error": colloc.l2_error},
         "least_squares": {"max_error": lsq.max_error, "l2_error": lsq.l2_error},
     }
-    return Result(config.params, xs, ["target", "collocation", "least_squares"],
+    return Result(config.params, config.xs, ["target", "collocation", "least_squares"],
                   [(None, table)],
                   [colloc.coefficients[:, None], lsq.coefficients[:, None]], results)
 

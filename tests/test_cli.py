@@ -308,7 +308,8 @@ def test_huge_indices_write_finite_numbers(args, tmp_path):
 
 def test_depth_bound_is_the_curve_limit():
     argv = ["--command", "subdivide", "--polygon", "a", "--out", "x.svg", "--depth"]
-    assert parse_config([*argv, str(MAX_SUBDIVISION_DEPTH)]).depth == MAX_SUBDIVISION_DEPTH
+    config = parse_config([*argv, str(MAX_SUBDIVISION_DEPTH)])
+    assert config.params["depth"] == MAX_SUBDIVISION_DEPTH
     with pytest.raises(ValidationError) as info:
         parse_config([*argv, str(MAX_SUBDIVISION_DEPTH + 1)])
     assert info.value.field == "depth"
@@ -656,7 +657,8 @@ def _counted_and_written(argv):
                + sum(poly.size for poly in result.polygons))
     _, _, _, size_rule = cli.COMMANDS[config.command]
     dim = 0 if config.polygon is None else config.polygon.dim
-    return size_rule(config.degree, len(config.maps), dim, len(config.xs), config.depth), written
+    depth = config.params.get("depth", 0)  # only subdivide reads --depth
+    return size_rule(config.degree, len(config.maps), dim, len(config.xs), depth), written
 
 
 @pytest.mark.parametrize("job", sorted(set(GOLDEN_JOBS) - {"selftest"}))
@@ -683,7 +685,6 @@ def test_output_budget_counts_the_result_of_random_jobs(seed, tmp_path):
     ("subdivide", "polygon", "svg", MAX_DEGREE),
     ("elevate", "polygon", "svg", MAX_DEGREE),
     ("fit", 8, "json", MAX_FIT_DEGREE),
-    ("selftest", 3, "json", MAX_DEGREE),
 ])
 def test_each_command_has_its_own_defaults_and_degree_cap(command, degree, fmt, cap, tmp_path):
     def polygon(points):  # a 1-D polygon file of degree points - 1
@@ -703,6 +704,14 @@ def test_each_command_has_its_own_defaults_and_degree_cap(command, degree, fmt, 
     with pytest.raises(ValidationError) as info:
         parse_config([*argv, *over])
     assert info.value.field == "degree"
+
+
+def test_degree_help_lists_the_five_table_commands():
+    # selftest reads no --degree, so it has no row and no entry
+    assert [*cli.COMMANDS] == ["basis", "curve", "subdivide", "elevate", "fit"]
+    assert build_parser()._option_string_actions["--degree"].help == (
+        "default/max: basis 3/60, curve polygon/60, subdivide polygon/60, "
+        "elevate polygon/60, fit 8/30")
 
 
 def test_every_module_stays_below_the_parser_token_step():
@@ -735,6 +744,26 @@ def test_only_selftest_reads_the_seed(tmp_path, monkeypatch):
     monkeypatch.setenv("ALPHABEZIER_SEED", "7")
     assert parse_config(["--command", "curve", "--polygon", "a", "--out", "x"]).seed == 0
     assert parse_config(["--command", "selftest"]).seed == 7
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["--command", "selftest"], ["--degree", "61", "--samples", "1", "--depth", "99",
+                                 "--alpha", "0.5", "--interval", "1,0",
+                                 "--polygon", "no-such-file"]),
+    (["--command", "basis", "--samples", "9"], ["--polygon", "no-such-file", "--depth", "99"]),
+    (["--command", "fit", "--samples", "9"], ["--polygon", "no-such-file", "--depth", "99"]),
+    (["--command", "curve", "--polygon", "a", "--samples", "9"], ["--depth", "99"]),
+    (["--command", "elevate", "--polygon", "a", "--samples", "9"], ["--depth", "99"]),
+], ids=["selftest", "basis", "fit", "curve", "elevate"])
+def test_a_flag_the_command_does_not_read_changes_neither_its_file_nor_its_exit_code(
+        argv, unread, tmp_path):
+    argv = [*argv, "--format", "json"]
+    assert main([*argv, "--out", str(tmp_path / "plain.json")]) == 0
+    assert main([*argv, *unread, "--out", str(tmp_path / "unread.json")]) == 0
+    written = (tmp_path / "unread.json").read_bytes()
+    assert written == (tmp_path / "plain.json").read_bytes()
+    if argv[1] in ("basis", "fit"):  # a table that draws no curve records no polygon
+        assert "polygon" not in json.loads(written)["params"]
 
 
 def test_failing_self_test_writes_its_report_and_exits_1(tmp_path, monkeypatch, capsys):
